@@ -93,44 +93,56 @@ def kostka(shape, weight) -> int:
 # Classical Littlewood-Richardson coefficients (lattice-word rule)
 
 
+def _lattice_count(right: list, above: list, weight: tuple) -> int:
+    """Fillings of cells 0..n-1 by letters of the given weight, read in cell
+    order, that form a lattice word.
+
+    right[p] and above[p] are the positions of the neighbors of cell p, or
+    None; both come before p, so rows weakly increase and columns strictly
+    increase. Every prefix must stay a lattice word, which prunes the
+    backtracking as it goes.
+    """
+    letters = len(weight)
+    n = len(right)
+    counts = [0] * letters
+    placed = [0] * n
+
+    def rec(pos: int) -> int:
+        if pos == n:
+            return 1
+        rp, ap = right[pos], above[pos]
+        hi = placed[rp] if rp is not None else letters - 1
+        lo = placed[ap] + 1 if ap is not None else 0
+        total = 0
+        for a in range(lo, hi + 1):
+            if counts[a] == weight[a]:
+                continue
+            if a and counts[a - 1] <= counts[a]:
+                continue  # the prefix would stop being a lattice word
+            counts[a] += 1
+            placed[pos] = a
+            total += rec(pos + 1)
+            counts[a] -= 1
+        return total
+
+    return rec(0)
+
+
 @cache
 def _lr(outer: tuple, inner: tuple, weight: tuple) -> int:
     rows = len(outer)
     inner = inner + (0,) * (rows - len(inner))
+    # Reverse reading order: rows top to bottom, each row right to left. The
+    # neighbor above and the neighbor to the right are both already filled.
     cells = [
         (i, j) for i in range(rows) for j in range(outer[i] - 1, inner[i] - 1, -1)
     ]
-    # Reverse reading order: rows top to bottom, each row right to left. The
-    # neighbor above and the neighbor to the right are both already filled.
-    letters = len(weight)
-    remaining = list(weight)
-    grid = {}
-    counts = [0] * letters
-
-    def rec(pos: int) -> int:
-        if pos == len(cells):
-            return 1
-        i, j = cells[pos]
-        up = grid.get((i - 1, j))
-        right = grid.get((i, j + 1))
-        lo = 0 if up is None else up + 1
-        hi = letters - 1 if right is None else right
-        total = 0
-        for a in range(lo, hi + 1):
-            if not remaining[a]:
-                continue
-            if a and counts[a - 1] <= counts[a]:
-                continue  # lattice condition would break
-            remaining[a] -= 1
-            counts[a] += 1
-            grid[(i, j)] = a
-            total += rec(pos + 1)
-            del grid[(i, j)]
-            counts[a] -= 1
-            remaining[a] += 1
-        return total
-
-    return rec(0)
+    pos = {cell: p for p, cell in enumerate(cells)}
+    return _lattice_count(
+        [pos.get((i, j + 1)) for i, j in cells],
+        [pos.get((i - 1, j)) for i, j in cells],
+        weight,
+    )
 
 
 def lr_coeff(outer, inner, weight) -> int:
@@ -170,35 +182,11 @@ def skew_singular_count(shape: SkewShape, comp: int, weight_row: tuple) -> int:
     cells = shape.cells()
     if any(c.k > comp for c in cells):
         return 0
-    letters = len(weight_row)
-    n = len(cells)
-    right_of = [shape.position(Cell(c.i, c.j + 1, c.k)) for c in cells]
-    above_of = [shape.position(Cell(c.i - 1, c.j, c.k)) for c in cells]
-    remaining = list(weight_row)
-    counts = [0] * letters
-    placed = [0] * n
-
-    def rec(pos: int) -> int:
-        if pos == n:
-            return 1
-        rp, ap = right_of[pos], above_of[pos]
-        hi = placed[rp] if rp is not None else letters - 1
-        lo = placed[ap] + 1 if ap is not None else 0
-        total = 0
-        for a in range(lo, hi + 1):
-            if not remaining[a]:
-                continue
-            if a and counts[a - 1] <= counts[a]:
-                continue  # reading-word prefix would stop being a partition
-            remaining[a] -= 1
-            counts[a] += 1
-            placed[pos] = a
-            total += rec(pos + 1)
-            remaining[a] += 1
-            counts[a] -= 1
-        return total
-
-    return rec(0)
+    return _lattice_count(
+        [shape.position(Cell(c.i, c.j + 1, c.k)) for c in cells],
+        [shape.position(Cell(c.i - 1, c.j, c.k)) for c in cells],
+        weight_row,
+    )
 
 
 def _prepare(la: MultiPartition, mu: MultiPartition, bound: Optional[ShapeBound]):

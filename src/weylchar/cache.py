@@ -3,8 +3,7 @@
 One file per (operation, canonical key); the key is serialized
 deterministically and hashed with a fixed digest recorded in the file.
 Bumping FORMAT_VERSION invalidates every entry. Writes go through a
-temporary file and an atomic rename, with an advisory lock while the
-temporary is written.
+temporary file and an atomic rename.
 """
 
 import hashlib
@@ -13,11 +12,6 @@ import os
 import tempfile
 
 from .serialize import FORMAT_VERSION
-
-try:
-    import fcntl
-except ImportError:  # non-POSIX: locks degrade to nothing
-    fcntl = None
 
 
 def _digest(op: str, key_obj) -> str:
@@ -65,8 +59,6 @@ class FileCache:
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                if fcntl is not None:
-                    fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
                 fh.write(data)
                 fh.flush()
                 os.fsync(fh.fileno())

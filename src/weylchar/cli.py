@@ -1,16 +1,15 @@
 """Command-line surface.
 
 Shapes are passed as strict JSON (quote them in the shell). Exit codes:
-0 success, 2 malformed input, 3 internal consistency failure. Results are
-deterministic byte for byte for fixed inputs, and a warm cache replays them
-unchanged.
+0 success, 2 malformed input or an OS error (such as an unwritable --out),
+3 internal consistency failure. Results are deterministic byte for byte for
+fixed inputs, and a warm cache replays them unchanged.
 """
 
 import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import branching, symfunc
 from .cache import FileCache
@@ -57,13 +56,6 @@ def _resolve_bound(args, n: int, r: int) -> ShapeBound:
     return bound
 
 
-def _mapper(jobs: int):
-    if jobs and jobs > 1:
-        pool = ThreadPoolExecutor(max_workers=jobs)
-        return pool, pool.map
-    return None, map
-
-
 def cmd_beta(args) -> tuple:
     la = _parse_shape(args.lam)
     r = args.r or la.r
@@ -88,24 +80,7 @@ def cmd_beta_matrix(args) -> tuple:
     if args.n is None or args.r is None:
         raise InputError("beta-matrix needs --n and --r")
     bound = _resolve_bound(args, args.n, args.r)
-    pool, map_fn = _mapper(args.jobs)
-    try:
-        order = multipartitions(args.n, bound)
-        rows = list(
-            map_fn(
-                lambda la: [
-                    branching.multiplicity(la, mu, bound, method=args.method)
-                    for mu in order
-                ],
-                order,
-            )
-        )
-    finally:
-        if pool:
-            pool.shutdown()
-    mat = branching.IndexedMatrix(args.n, bound, order, rows)
-    if not mat.is_unitriangular():
-        raise ConsistencyError("multiplicity matrix is not unitriangular")
+    mat = branching.multiplicity_matrix(args.n, bound, method=args.method)
     if args.format == "tsv":
         return matrix_to_tsv(mat), 0
     return json_bytes(matrix_to_obj(mat)).decode(), 0
@@ -135,12 +110,7 @@ def cmd_cmul(args) -> tuple:
 def cmd_conjecture_scan(args) -> tuple:
     if args.n_max is None or args.r is None:
         raise InputError("conjecture-scan needs --n-max and --r")
-    pool, map_fn = _mapper(args.jobs)
-    try:
-        report = symfunc.scan_structure_constants(args.n_max, args.r, map_fn=map_fn)
-    finally:
-        if pool:
-            pool.shutdown()
+    report = symfunc.scan_structure_constants(args.n_max, args.r)
     return json_bytes(scan_report_to_obj(report)).decode(), 0
 
 
@@ -173,14 +143,9 @@ def cmd_factorize(args) -> tuple:
     if args.b and args.b != "auto":
         bmat = _load_matrix(args.b)
     else:
-        order = multipartitions(dbar.n, dbar.bound)
-        if order != dbar.order:
+        if multipartitions(dbar.n, dbar.bound) != dbar.order:
             raise InputError("dbar order is not the canonical order")
-        rows = [
-            [branching.multiplicity(la, mu, dbar.bound) for mu in order]
-            for la in order
-        ]
-        bmat = branching.IndexedMatrix(dbar.n, dbar.bound, order, rows)
+        bmat = branching.multiplicity_matrix(dbar.n, dbar.bound)
     if not bmat.same_index(dbar):
         raise InputError("B and Dbar are indexed differently")
     if args.x and not args.d:
@@ -226,7 +191,6 @@ _COMMANDS = {
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write output to this path instead of stdout")
     p.add_argument("--cache-dir", help="cache directory (or env WEYLCHAR_CACHE)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p.add_argument("--m", help="comma-separated component caps, default n each")
     p.add_argument("--r", type=int, help="number of components")
 
@@ -289,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cache_key(args) -> dict:
-    skip = {"out", "cache_dir", "jobs"}
+    skip = {"out", "cache_dir"}
     key = {}
     for name, value in sorted(vars(args).items()):
         if name in skip or callable(value):
@@ -308,8 +272,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     cache_dir = args.cache_dir or os.environ.get("WEYLCHAR_CACHE")
-    cache = FileCache(cache_dir) if cache_dir else None
     try:
+        cache = FileCache(cache_dir) if cache_dir else None
         cached = cache.get("cli-" + args.command, _cache_key(args)) if cache else None
         if cached is not None:
             output, code = cached["output"], cached["code"]
@@ -321,16 +285,16 @@ def main(argv=None) -> int:
                     _cache_key(args),
                     {"output": output, "code": code},
                 )
-    except InputError as exc:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(output)
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 3
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(output)
-    else:
+    if not args.out:
         sys.stdout.write(output)
     return code
 

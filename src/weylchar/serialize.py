@@ -7,7 +7,6 @@ shift happens. Emitted JSON is deterministic byte for byte.
 import json
 
 from .branching import IndexedMatrix
-from .crystal import CrystalWord
 from .errors import InputError
 from .shapes import MultiComposition, MultiPartition, Partition, ShapeBound
 from .symfunc import MonomialPoly, SchurExpansion
@@ -25,28 +24,25 @@ def multipartition_to_obj(mp: MultiPartition) -> list:
     return [list(c.parts) for c in mp.components]
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; bools and floats are refused, never coerced."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_int_list(v) -> bool:
+    return isinstance(v, list) and all(_is_int(x) for x in v)
+
+
 def multipartition_from_obj(obj, r: int = None) -> MultiPartition:
-    if not isinstance(obj, list) or not obj or not all(isinstance(c, list) for c in obj):
+    if not isinstance(obj, list) or not obj or not all(_is_int_list(c) for c in obj):
         raise InputError(f"not a multipartition: {obj!r}")
     if r is not None and len(obj) != r:
         raise InputError(f"expected {r} components, got {len(obj)}")
-    try:
-        return MultiPartition(Partition(c) for c in obj)
-    except (TypeError, ValueError) as exc:
-        raise InputError(str(exc))
+    return MultiPartition(Partition(c) for c in obj)
 
 
 def multicomposition_to_obj(mc: MultiComposition) -> list:
     return [list(row) for row in mc.rows]
-
-
-def multicomposition_from_obj(obj) -> MultiComposition:
-    if not isinstance(obj, list) or not all(isinstance(c, list) for c in obj):
-        raise InputError(f"not a multicomposition: {obj!r}")
-    try:
-        return MultiComposition(tuple(tuple(int(x) for x in row) for row in obj))
-    except (TypeError, ValueError) as exc:
-        raise InputError(str(exc))
 
 
 def tableau_to_obj(t: Tableau) -> dict:
@@ -61,11 +57,6 @@ def tableau_to_obj(t: Tableau) -> dict:
     }
 
 
-def word_to_obj(w: CrystalWord) -> list:
-    """Letter sequences with 1-based letters."""
-    return [[a + 1 for a in word] for word in w.words]
-
-
 def matrix_to_obj(m: IndexedMatrix) -> dict:
     return {
         "n": m.n,
@@ -78,14 +69,20 @@ def matrix_to_obj(m: IndexedMatrix) -> dict:
 
 def matrix_from_obj(obj) -> IndexedMatrix:
     try:
-        return IndexedMatrix(
-            int(obj["n"]),
-            ShapeBound(obj["m"]),
-            tuple(multipartition_from_obj(mp, int(obj["r"])) for mp in obj["order"]),
-            obj["rows"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        n, r, m, order, rows = (obj[k] for k in ("n", "r", "m", "order", "rows"))
+    except (KeyError, TypeError) as exc:
         raise InputError(f"bad matrix object: {exc}")
+    if not (
+        _is_int(n)
+        and _is_int(r)
+        and _is_int_list(m)
+        and isinstance(order, list)
+        and isinstance(rows, list)
+        and all(_is_int_list(row) for row in rows)
+    ):
+        raise InputError("bad matrix object: n, r, m and rows must hold integers")
+    order = tuple(multipartition_from_obj(mp, r) for mp in order)
+    return IndexedMatrix(n, ShapeBound(m), order, rows)
 
 
 def matrix_to_tsv(m: IndexedMatrix) -> str:

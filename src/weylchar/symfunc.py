@@ -203,30 +203,27 @@ def _basis_change(degree: int, r: int) -> tuple:
     return mat, invert_unitriangular(mat)
 
 
+def _change_basis(expansion: SchurExpansion, mat) -> SchurExpansion:
+    """Multiply the coefficient row vector of an expansion by mat."""
+    terms: dict = {}
+    for src, a in expansion.terms.items():
+        row = mat.rows[mat._pos[src]]
+        for c, dst in zip(row, mat.order):
+            if c:
+                terms[dst] = terms.get(dst, 0) + a * c
+    return SchurExpansion(expansion.r, expansion.degree, terms)
+
+
 def to_weyl_basis(expansion: SchurExpansion) -> SchurExpansion:
     """Rewrite a Schur-basis expansion in the character basis."""
     _, inv = _basis_change(expansion.degree, expansion.r)
-    terms: dict = {}
-    for tau, a in expansion.terms.items():
-        i = inv._pos[tau]
-        for j, nu in enumerate(inv.order):
-            c = inv.rows[i][j]
-            if c:
-                terms[nu] = terms.get(nu, 0) + a * c
-    return SchurExpansion(expansion.r, expansion.degree, terms)
+    return _change_basis(expansion, inv)
 
 
 def to_schur_basis(expansion: SchurExpansion) -> SchurExpansion:
     """Rewrite a character-basis expansion in the Schur basis."""
     mat, _ = _basis_change(expansion.degree, expansion.r)
-    terms: dict = {}
-    for la, a in expansion.terms.items():
-        i = mat._pos[la]
-        for j, mu in enumerate(mat.order):
-            c = mat.rows[i][j]
-            if c:
-                terms[mu] = terms.get(mu, 0) + a * c
-    return SchurExpansion(expansion.r, expansion.degree, terms)
+    return _change_basis(expansion, mat)
 
 
 def structure_constants(la: MultiPartition, mu: MultiPartition) -> SchurExpansion:
@@ -287,13 +284,12 @@ def truncate_to_bound(expansion: SchurExpansion, bound: ShapeBound) -> SchurExpa
     )
 
 
-def scan_structure_constants(n_max: int, r: int, map_fn=map) -> dict:
+def scan_structure_constants(n_max: int, r: int) -> dict:
     """Exhaustive structure-constant scan for the two open claims.
 
     Reports every negative coefficient and every nonzero coefficient whose
     component-size vector differs from that of the factor sum. Violations
-    are reported, never asserted absent. map_fn may be a parallel map; the
-    reduction preserves pair order, so the report does not depend on it.
+    are reported, never asserted absent.
     """
     pairs = []
     for total in range(n_max + 1):
@@ -303,24 +299,17 @@ def scan_structure_constants(n_max: int, r: int, map_fn=map) -> dict:
                 for mu in multipartitions(b, ShapeBound.for_size(b, r)):
                     pairs.append((la, mu))
 
-    def examine(pair):
-        la, mu = pair
+    negatives, support = [], []
+    for la, mu in pairs:
         target_sizes = tuple(
             x.size + y.size for x, y in zip(la.components, mu.components)
         )
-        negatives, support = [], []
         for nu, c in structure_constants(la, mu).canonical_items():
             sizes = tuple(comp.size for comp in nu.components)
             if c < 0:
                 negatives.append((la, mu, nu, c))
             if c and sizes != target_sizes:
                 support.append((la, mu, nu, c))
-        return negatives, support
-
-    negatives, support = [], []
-    for neg, sup in map_fn(examine, pairs):
-        negatives.extend(neg)
-        support.extend(sup)
     return {
         "n_max": n_max,
         "r": r,

@@ -114,36 +114,28 @@ def weight_of(t: Tableau) -> MultiComposition:
     return MultiComposition(rows)
 
 
-def enumerate_tableaux(
-    shape: SkewShape, weight: MultiComposition
-) -> Iterator[Tableau]:
-    """All semistandard fillings of the shape with the given weight.
+def _fillings(shape: SkewShape, bound: ShapeBound, remaining: list) -> Iterator[Tableau]:
+    """Semistandard fillings using entry (a, c) at most remaining[c][a] times.
 
     Cells are filled in reading order; at each cell the candidate entries are
     tried in ascending entry order, so the output order is deterministic.
     """
-    if shape.n_cells != weight.size:
-        raise InputError(
-            f"shape has {shape.n_cells} cells but weight has size {weight.size}"
-        )
-    bound = weight.bound
-    if bound.r != shape.r:
-        raise InputError("weight and shape disagree on component count")
     cells = shape.cells()
     n = len(cells)
     # Neighbors filled earlier in reading order: the cell to the right and
     # the cell above.
     right_pos = [shape.position(Cell(c.i, c.j + 1, c.k)) for c in cells]
     above_pos = [shape.position(Cell(c.i - 1, c.j, c.k)) for c in cells]
-    remaining = [list(row) for row in weight.rows]
     entries: list = [None] * n
 
-    def candidates(pos: int) -> Iterator[Entry]:
-        cell = cells[pos]
+    def rec(pos: int) -> Iterator[Tableau]:
+        if pos == n:
+            yield Tableau(shape, tuple(entries), bound)
+            return
         rp, ap = right_pos[pos], above_pos[pos]
         hi = entries[rp] if rp is not None else None
         lo = entries[ap] if ap is not None else None
-        for c in range(cell.k, bound.r):
+        for c in range(cells[pos].k, bound.r):
             if hi is not None and c > hi.c:
                 break
             row = remaining[c]
@@ -155,52 +147,35 @@ def enumerate_tableaux(
                     break
                 if lo is not None and entry_le(e, lo):
                     continue
-                yield e
-
-    def rec(pos: int) -> Iterator[Tableau]:
-        if pos == n:
-            yield Tableau(shape, tuple(entries), bound)
-            return
-        for e in candidates(pos):
-            remaining[e.c][e.a] -= 1
-            entries[pos] = e
-            yield from rec(pos + 1)
-            entries[pos] = None
-            remaining[e.c][e.a] += 1
+                row[a] -= 1
+                entries[pos] = e
+                yield from rec(pos + 1)
+                row[a] += 1
 
     return rec(0)
+
+
+def enumerate_tableaux(
+    shape: SkewShape, weight: MultiComposition
+) -> Iterator[Tableau]:
+    """All semistandard fillings of the shape with the given weight."""
+    if shape.n_cells != weight.size:
+        raise InputError(
+            f"shape has {shape.n_cells} cells but weight has size {weight.size}"
+        )
+    bound = weight.bound
+    if bound.r != shape.r:
+        raise InputError("weight and shape disagree on component count")
+    return _fillings(shape, bound, [list(row) for row in weight.rows])
 
 
 def enumerate_all_tableaux(shape: SkewShape, bound: ShapeBound) -> Iterator[Tableau]:
-    """All semistandard fillings of the shape, over every weight."""
-    cells = shape.cells()
-    n = len(cells)
-    right_pos = [shape.position(Cell(c.i, c.j + 1, c.k)) for c in cells]
-    above_pos = [shape.position(Cell(c.i - 1, c.j, c.k)) for c in cells]
-    entries: list = [None] * n
+    """All semistandard fillings of the shape, over every weight.
 
-    def rec(pos: int) -> Iterator[Tableau]:
-        if pos == n:
-            yield Tableau(shape, tuple(entries), bound)
-            return
-        cell = cells[pos]
-        rp, ap = right_pos[pos], above_pos[pos]
-        hi = entries[rp] if rp is not None else None
-        lo = entries[ap] if ap is not None else None
-        for c in range(cell.k, bound.r):
-            if hi is not None and c > hi.c:
-                break
-            for a in range(bound.m[c]):
-                e = Entry(a, c)
-                if hi is not None and not entry_le(e, hi):
-                    break
-                if lo is not None and entry_le(e, lo):
-                    continue
-                entries[pos] = e
-                yield from rec(pos + 1)
-                entries[pos] = None
-
-    return rec(0)
+    The order is that of enumerate_tableaux restricted to each weight.
+    """
+    # No filling has more than n_cells uses of one entry, so this never binds.
+    return _fillings(shape, bound, [[shape.n_cells] * mk for mk in bound.m])
 
 
 def count_tableaux(shape: SkewShape, weight: MultiComposition) -> int:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from weylchar import cli
 
 
@@ -32,8 +34,15 @@ def test_beta_method_all_agrees(capsys):
     assert payload["singular"] == payload["chain"] == payload["solve"] == 1
 
 
-def test_malformed_shape_exits_2(capsys):
-    code, _, err = run(capsys, "beta", "--lambda", "not json", "--mu", "[[1]]")
+def test_malformed_shape_exits_2(tmp_path, capsys):
+    # JSON values that are not integers are refused, never coerced.
+    for lam in ("not json", "[[1.7],[]]", "[[true],[]]", '[["1"],[]]'):
+        code, _, err = run(capsys, "beta", "--lambda", lam, "--mu", "[[1],[]]")
+        assert code == 2, lam
+        assert "error" in err
+    bad = tmp_path / "float.json"
+    bad.write_text('{"n":1,"r":1,"m":[1],"order":[[[1]]],"rows":[[1.9]]}')
+    code, _, err = run(capsys, "factorize", "--Dbar", str(bad))
     assert code == 2
     assert "error" in err
 
@@ -155,6 +164,28 @@ def test_factorize_residual(tmp_path, capsys):
     assert json.loads(out) == {"max_abs": 0, "zero": True, "worst_entry": None}
 
 
+def test_factorize_residual_non_canonical_order(tmp_path, capsys):
+    # The default X must follow the order of Dbar, not the canonical one.
+    code, bmat_out, _ = run(capsys, "beta-matrix", "--n", "2", "--r", "2")
+    assert code == 0
+    payload = json.loads(bmat_out)
+    dim = len(payload["order"])
+    perm = list(reversed(range(dim)))
+    reordered = dict(payload, order=[payload["order"][i] for i in perm])
+    reordered["rows"] = [[payload["rows"][i][j] for j in perm] for i in perm]
+    ident = dict(reordered, rows=[[int(i == j) for j in range(dim)] for i in range(dim)])
+    bfile = tmp_path / "b.json"
+    bfile.write_text(json.dumps(reordered))
+    ifile = tmp_path / "identity.json"
+    ifile.write_text(json.dumps(ident))
+    with pytest.warns(UserWarning, match="d is not unitriangular"):
+        code, out, _ = run(
+            capsys, "factorize", "--B", str(bfile), "--Dbar", str(ifile), "--D", str(bfile)
+        )
+    assert code == 0
+    assert '"zero":true' in out
+
+
 def test_factorize_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "factorize", "--Dbar", "/nonexistent/x.json")
     assert code == 2
@@ -185,15 +216,10 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
     assert any((tmp_path / "envcache").iterdir())
 
 
-def test_jobs_identical_output(capsys):
-    base = ["beta-matrix", "--n", "3", "--r", "2"]
-    _, out1, _ = run(capsys, *base, "--jobs", "1")
-    _, out4, _ = run(capsys, *base, "--jobs", "4")
-    assert out1 == out4
-    scan = ["conjecture-scan", "--n-max", "2", "--r", "2"]
-    _, s1, _ = run(capsys, *scan, "--jobs", "1")
-    _, s3, _ = run(capsys, *scan, "--jobs", "3")
-    assert s1 == s3
+def test_jobs_option_refused():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["beta-matrix", "--n", "2", "--r", "2", "--jobs", "2"])
+    assert exc.value.code == 2
 
 
 def test_out_file(tmp_path, capsys):
@@ -204,6 +230,25 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["rows"] == [[1, 0], [0, 1]]
+
+
+def test_out_in_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "matrix.json"
+    code, out, err = run(
+        capsys, "beta-matrix", "--n", "2", "--r", "1", "--out", str(target)
+    )
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
+def test_cache_dir_on_regular_file_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    code, out, err = run(
+        capsys, "beta-matrix", "--n", "2", "--r", "1", "--cache-dir", str(blocker)
+    )
+    assert code == 2
+    assert out == "" and err.startswith("error:")
 
 
 def test_consistency_exit_code(monkeypatch, capsys):

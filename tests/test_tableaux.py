@@ -19,6 +19,7 @@ from weylchar import (
     equivalence_key,
     is_semistandard,
     kostka,
+    multicompositions,
     multipartitions,
     reading,
     superstandard,
@@ -116,6 +117,26 @@ def test_example_shape_weight_contains_example():
     ts = list(enumerate_tableaux(SkewShape(la), weight))
     assert build(EXAMPLE_SHAPE, EXAMPLE_ENTRIES) in ts
     assert len(ts) >= 1
+
+
+def test_all_tableaux_restrict_to_enumerate_tableaux():
+    # Filtering by weight must keep the per-weight order: crystal graphs are
+    # serialized in enumeration order. Caps of 2 keep the weights few.
+    for r in range(1, 4):
+        for n in range(1, 5):
+            b = ShapeBound((min(n, 2),) * r)
+            for la in multipartitions(n, ShapeBound.for_size(n, r)):
+                inners = [mp([[]] * r)] + [
+                    ka for ka in multipartitions(1, b) if la.contains(ka)
+                ]
+                for ka in inners:
+                    shape = SkewShape(la, ka)
+                    by_weight = {}
+                    for t in enumerate_all_tableaux(shape, b):
+                        by_weight.setdefault(weight_of(t), []).append(t)
+                    for w in multicompositions(shape.n_cells, b):
+                        assert by_weight.pop(w, []) == list(enumerate_tableaux(shape, w))
+                    assert not by_weight
 
 
 def test_enumerate_size_mismatch():
