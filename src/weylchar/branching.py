@@ -19,7 +19,9 @@ from typing import Iterator, Optional
 from .errors import ConsistencyError, InputError
 from .crystal import is_singular
 from .shapes import (
+    EMPTY,
     Cell,
+    Frozen,
     MultiPartition,
     Partition,
     Grouping,
@@ -262,7 +264,7 @@ def layer_chains(la: MultiPartition, mu: MultiPartition) -> Iterator[tuple]:
         def choose(j: int, left: int, acc: tuple):
             if j == k - 1:
                 if left == 0:
-                    prev = MultiPartition(acc + (Partition(),) * (r - k + 1))
+                    prev = MultiPartition(acc + (EMPTY,) * (r - k + 1))
                     for chain_rest in rec(k - 1, prev):
                         yield chain_rest + (current,)
                 return
@@ -270,12 +272,6 @@ def layer_chains(la: MultiPartition, mu: MultiPartition) -> Iterator[tuple]:
                 if q.size <= left:
                     yield from choose(j + 1, left - q.size, acc + (q,))
 
-        if k == 1:
-            if target == 0:
-                empty = MultiPartition.empty(r)
-                for chain_rest in rec(0, empty):
-                    yield chain_rest + (current,)
-            return
         yield from choose(0, target, ())
 
     # levels[r] = la itself; its components past r are vacuously empty.
@@ -336,7 +332,7 @@ def multiplicity_row_by_solve(la: MultiPartition, bound: ShapeBound = None) -> d
     bound.require_stable(la.size)
     if not la.fits(bound):
         raise InputError(f"{la} does not fit {bound}")
-    return _solve_row(la, bound)
+    return dict(_solve_row(la, bound))
 
 
 def multiplicity_by_solve(
@@ -368,7 +364,7 @@ def multiplicity(
 # Matrices over the canonical index
 
 
-class IndexedMatrix:
+class IndexedMatrix(Frozen):
     """A square integer matrix indexed by the canonical multipartition order."""
 
     __slots__ = ("n", "bound", "order", "rows", "_pos")
@@ -383,9 +379,11 @@ class IndexedMatrix:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_pos", {mp: i for i, mp in enumerate(order)})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IndexedMatrix is immutable")
+        if len(self._pos) != len(order):
+            raise InputError("matrix index repeats an entry")
+        for mp in order:
+            if mp.size != n or not mp.fits(bound):
+                raise InputError(f"index entry {mp} is not of size {n} within {bound}")
 
     @property
     def r(self) -> int:

@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 from . import branching, symfunc
 from .cache import FileCache
@@ -57,14 +58,9 @@ def _resolve_bound(args, n: int, r: int) -> ShapeBound:
 
 
 def cmd_beta(args) -> tuple:
-    la = _parse_shape(args.lam)
-    r = args.r or la.r
-    mu = _parse_shape(args.mu, r)
-    if la.r != r:
-        raise InputError(f"lambda has {la.r} components, expected {r}")
-    if la.size != mu.size:
-        raise InputError(f"sizes disagree: {la.size} vs {mu.size}")
-    bound = _resolve_bound(args, la.size, r)
+    la = _parse_shape(args.lam, args.r)
+    mu = _parse_shape(args.mu, la.r)
+    bound = _resolve_bound(args, la.size, la.r)
     if args.method == "all":
         values = {
             name: branching.multiplicity(la, mu, bound, method=name)
@@ -256,7 +252,7 @@ def _cache_key(args) -> dict:
     skip = {"out", "cache_dir"}
     key = {}
     for name, value in sorted(vars(args).items()):
-        if name in skip or callable(value):
+        if name in skip:
             continue
         if name in ("b", "dbar", "x", "d") and value and value != "auto":
             try:
@@ -278,7 +274,11 @@ def main(argv=None) -> int:
         if cached is not None:
             output, code = cached["output"], cached["code"]
         else:
-            output, code = _COMMANDS[args.command](args)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                output, code = _COMMANDS[args.command](args)
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
             if cache:
                 cache.put(
                     "cli-" + args.command,

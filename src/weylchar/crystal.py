@@ -12,7 +12,7 @@ its prefixes has weakly decreasing letter counts.
 from typing import Iterator, NamedTuple, Optional
 
 from .errors import ConsistencyError, InputError
-from .shapes import MultiComposition, MultiPartition, Partition, ShapeBound
+from .shapes import Frozen, MultiComposition, MultiPartition, Partition, ShapeBound
 from .tableaux import (
     Tableau,
     equivalence_classes,
@@ -21,7 +21,7 @@ from .tableaux import (
 )
 
 
-class CrystalWord:
+class CrystalWord(Frozen):
     """One letter sequence per component; letters live in 0..m_k-1."""
 
     __slots__ = ("words", "bound")
@@ -35,9 +35,6 @@ class CrystalWord:
                 raise InputError(f"letter out of range in {w} (alphabet {mk})")
         object.__setattr__(self, "words", ws)
         object.__setattr__(self, "bound", bound)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CrystalWord is immutable")
 
     def replace(self, k: int, pos: int, letter: int) -> "CrystalWord":
         w = self.words[k]

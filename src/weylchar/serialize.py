@@ -81,6 +81,8 @@ def matrix_from_obj(obj) -> IndexedMatrix:
         and all(_is_int_list(row) for row in rows)
     ):
         raise InputError("bad matrix object: n, r, m and rows must hold integers")
+    if len(m) != r:
+        raise InputError(f"bad matrix object: r is {r} but m has {len(m)} entries")
     order = tuple(multipartition_from_obj(mp, r) for mp in order)
     return IndexedMatrix(n, ShapeBound(m), order, rows)
 

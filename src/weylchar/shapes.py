@@ -11,7 +11,24 @@ from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 from .errors import InputError
 
 
-class Partition:
+class Frozen:
+    """Base of the immutable value types.
+
+    Subclasses declare their __slots__ and store each field once in __init__
+    through object.__setattr__; afterwards no field can be set or deleted.
+    Equality and hashing stay with each subclass.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Partition(Frozen):
     """A weakly decreasing sequence of positive parts; trailing zeros are stripped."""
 
     __slots__ = ("parts", "size")
@@ -27,9 +44,6 @@ class Partition:
             raise InputError(f"negative part in {ps}")
         object.__setattr__(self, "parts", ps)
         object.__setattr__(self, "size", sum(ps))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -61,7 +75,7 @@ class Partition:
 EMPTY = Partition()
 
 
-class ShapeBound:
+class ShapeBound(Frozen):
     """Per-component caps (m_1,...,m_r): row counts of shapes and letter alphabets."""
 
     __slots__ = ("m",)
@@ -71,9 +85,6 @@ class ShapeBound:
         if not mt or any(x < 1 for x in mt):
             raise InputError(f"bound must be positive in every component: {mt}")
         object.__setattr__(self, "m", mt)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ShapeBound is immutable")
 
     @classmethod
     def for_size(cls, n: int, r: int) -> "ShapeBound":
@@ -99,7 +110,7 @@ class ShapeBound:
         return f"ShapeBound({list(self.m)})"
 
 
-class MultiPartition:
+class MultiPartition(Frozen):
     """An r-tuple of partitions."""
 
     __slots__ = ("components", "size")
@@ -112,9 +123,6 @@ class MultiPartition:
             raise InputError("need at least one component")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "size", sum(c.size for c in comps))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiPartition is immutable")
 
     @classmethod
     def empty(cls, r: int) -> "MultiPartition":
@@ -162,7 +170,7 @@ class MultiPartition:
         return "MP" + repr([list(c.parts) for c in self.components])
 
 
-class MultiComposition:
+class MultiComposition(Frozen):
     """An r-tuple of nonnegative integer rows, the k-th of fixed length m_k."""
 
     __slots__ = ("rows", "size")
@@ -175,13 +183,6 @@ class MultiComposition:
             raise InputError("negative entry in composition")
         object.__setattr__(self, "rows", rs)
         object.__setattr__(self, "size", sum(sum(row) for row in rs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiComposition is immutable")
-
-    @classmethod
-    def zero(cls, bound: ShapeBound) -> "MultiComposition":
-        return cls(tuple((0,) * mk for mk in bound.m))
 
     @property
     def r(self) -> int:
@@ -225,7 +226,7 @@ class Cell(NamedTuple):
     k: int
 
 
-class Grouping:
+class Grouping(Frozen):
     """A composition (r_1,...,r_g) of r, slicing components into consecutive groups."""
 
     __slots__ = ("sizes",)
@@ -235,9 +236,6 @@ class Grouping:
         if not st or any(x < 1 for x in st):
             raise InputError(f"group sizes must be positive: {st}")
         object.__setattr__(self, "sizes", st)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Grouping is immutable")
 
     @property
     def g(self) -> int:
@@ -417,7 +415,7 @@ def multicompositions(n: int, bound: ShapeBound) -> tuple:
     return tuple(MultiComposition(rows) for rows in rec(0, n))
 
 
-class SkewShape:
+class SkewShape(Frozen):
     """A multipartition diagram minus a contained inner multipartition."""
 
     __slots__ = ("outer", "inner", "_cells", "_index")
@@ -438,9 +436,6 @@ class SkewShape:
         cells.sort(key=reading_key)
         object.__setattr__(self, "_cells", tuple(cells))
         object.__setattr__(self, "_index", {c: p for p, c in enumerate(cells)})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SkewShape is immutable")
 
     @property
     def r(self) -> int:

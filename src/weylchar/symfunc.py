@@ -18,6 +18,7 @@ from .branching import (
     multiplicity,
 )
 from .shapes import (
+    Frozen,
     MultiComposition,
     MultiPartition,
     Partition,
@@ -29,7 +30,7 @@ from .shapes import (
 )
 
 
-class SchurExpansion:
+class SchurExpansion(Frozen):
     """Finitely supported integer combination of Schur-product basis elements."""
 
     __slots__ = ("r", "degree", "terms")
@@ -42,9 +43,6 @@ class SchurExpansion:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SchurExpansion is immutable")
 
     def coeff(self, mp: MultiPartition) -> int:
         return self.terms.get(mp, 0)
@@ -66,7 +64,7 @@ class SchurExpansion:
         return parts or "0"
 
 
-class MonomialPoly:
+class MonomialPoly(Frozen):
     """Finitely supported integer combination of monomials x^mu."""
 
     __slots__ = ("bound", "degree", "terms")
@@ -79,9 +77,6 @@ class MonomialPoly:
         object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MonomialPoly is immutable")
 
     def coeff(self, mc: MultiComposition) -> int:
         return self.terms.get(mc, 0)

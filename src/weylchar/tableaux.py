@@ -10,6 +10,7 @@ from typing import Iterator, NamedTuple
 from .errors import InputError
 from .shapes import (
     Cell,
+    Frozen,
     MultiComposition,
     MultiPartition,
     ShapeBound,
@@ -30,7 +31,7 @@ def entry_le(e1: Entry, e2: Entry) -> bool:
     return e1.c < e2.c or (e1.c == e2.c and e1.a <= e2.a)
 
 
-class Tableau:
+class Tableau(Frozen):
     """A filling of a skew shape, entries aligned with the reading order."""
 
     __slots__ = ("shape", "entries", "bound")
@@ -49,9 +50,6 @@ class Tableau:
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "entries", ents)
         object.__setattr__(self, "bound", bound)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Tableau is immutable")
 
     @classmethod
     def from_cell_map(cls, shape: SkewShape, mapping: dict, bound: ShapeBound):

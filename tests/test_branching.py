@@ -227,6 +227,16 @@ def test_solve_row_r1_is_indicator():
             assert all(v == 0 for mu, v in row.items() if mu != la)
 
 
+def test_solve_row_is_a_copy():
+    # Editing a returned row must not reach the memo behind the solve route.
+    la = mp([[1], [1]])
+    b = ShapeBound.for_size(2, 2)
+    row = multiplicity_row_by_solve(la, b)
+    row[la] = 99
+    assert multiplicity(la, la, b, method="solve") == 1
+    assert multiplicity_row_by_solve(la, b)[la] == 1
+
+
 def test_unitriangularity_properties():
     for n in range(0, 5):
         b = ShapeBound.for_size(n, 2)

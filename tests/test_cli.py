@@ -40,11 +40,21 @@ def test_malformed_shape_exits_2(tmp_path, capsys):
         code, _, err = run(capsys, "beta", "--lambda", lam, "--mu", "[[1],[]]")
         assert code == 2, lam
         assert "error" in err
-    bad = tmp_path / "float.json"
-    bad.write_text('{"n":1,"r":1,"m":[1],"order":[[[1]]],"rows":[[1.9]]}')
-    code, _, err = run(capsys, "factorize", "--Dbar", str(bad))
-    assert code == 2
-    assert "error" in err
+    # Matrix files: a float entry, a repeated order entry, r unequal to the
+    # length of m, an entry of the wrong size, an entry that does not fit m.
+    matrices = (
+        '{"n":1,"r":1,"m":[1],"order":[[[1]]],"rows":[[1.9]]}',
+        '{"n":1,"r":2,"m":[1,1],"order":[[[1],[]],[[1],[]]],"rows":[[1,0],[0,1]]}',
+        '{"n":0,"r":3,"m":[1,1],"order":[[[],[],[]]],"rows":[[1]]}',
+        '{"n":2,"r":2,"m":[2,2],"order":[[[1],[]]],"rows":[[1]]}',
+        '{"n":2,"r":2,"m":[1,2],"order":[[[1,1],[]]],"rows":[[1]]}',
+    )
+    bad = tmp_path / "bad.json"
+    for text in matrices:
+        bad.write_text(text)
+        code, _, err = run(capsys, "factorize", "--B", str(bad), "--Dbar", str(bad))
+        assert code == 2, text
+        assert "error" in err
 
 
 def test_size_mismatch_exits_2(capsys):
@@ -178,12 +188,14 @@ def test_factorize_residual_non_canonical_order(tmp_path, capsys):
     bfile.write_text(json.dumps(reordered))
     ifile = tmp_path / "identity.json"
     ifile.write_text(json.dumps(ident))
-    with pytest.warns(UserWarning, match="d is not unitriangular"):
-        code, out, _ = run(
-            capsys, "factorize", "--B", str(bfile), "--Dbar", str(ifile), "--D", str(bfile)
-        )
+    code, out, err = run(
+        capsys, "factorize", "--B", str(bfile), "--Dbar", str(ifile), "--D", str(bfile)
+    )
     assert code == 0
     assert '"zero":true' in out
+    # A library warning is one plain line, without category or source path.
+    assert "warning: d is not unitriangular\n" in err
+    assert "UserWarning" not in err and ".py:" not in err
 
 
 def test_factorize_missing_file_exits_2(capsys):

@@ -22,7 +22,16 @@ from weylchar import (
     skew_cells,
     split_components,
 )
+from weylchar import (
+    CrystalWord,
+    IndexedMatrix,
+    MonomialPoly,
+    SchurExpansion,
+    identity_matrix,
+    superstandard,
+)
 from weylchar.serialize import multipartition_from_obj, multipartition_to_obj
+from weylchar.shapes import Frozen
 
 from oracles import brute_multipartition_count
 
@@ -209,3 +218,47 @@ def test_canonical_key_deterministic():
     mps = multipartitions(2, b)
     keys = [canonical_key(x, b) for x in mps]
     assert keys == sorted(keys)
+
+
+_B = ShapeBound([2, 2])
+# One instance of each value type and one of its fields.
+VALUE_TYPES = [
+    (lambda: Partition([2, 1]), "parts"),
+    (lambda: ShapeBound([2, 1]), "m"),
+    (lambda: mp([[2], [1]]), "components"),
+    (lambda: MultiComposition([[1, 0], [0, 1]]), "rows"),
+    (lambda: Grouping([1, 1]), "sizes"),
+    (lambda: SkewShape(mp([[2], [1]]), mp([[1], []])), "outer"),
+    (lambda: identity_matrix(1, _B), "rows"),
+    (lambda: SchurExpansion(2, 1, {mp([[1], []]): 2}), "terms"),
+    (lambda: MonomialPoly(_B, 1, {MultiComposition([[1, 0], [0, 0]]): 1}), "terms"),
+    (lambda: superstandard(mp([[2], [1]]), _B), "entries"),
+    (lambda: CrystalWord([[0, 1], [1]], _B), "words"),
+]
+
+
+@pytest.mark.parametrize(
+    "make, field", VALUE_TYPES, ids=[type(make()).__name__ for make, _ in VALUE_TYPES]
+)
+def test_value_types_are_immutable(make, field):
+    obj, fresh = make(), make()
+    assert isinstance(obj, Frozen)
+    hashable = type(obj).__hash__ is not None
+    before = hash(obj) if hashable else None
+    attempts = (
+        lambda: setattr(obj, field, getattr(fresh, field)),
+        lambda: setattr(obj, "extra", 1),
+        lambda: delattr(obj, field),
+    )
+    for attempt in attempts:
+        with pytest.raises(AttributeError, match=f"{type(obj).__name__} is immutable"):
+            attempt()
+    assert all(getattr(obj, s) == getattr(fresh, s) for s in type(obj).__slots__)
+    if hashable:
+        assert hash(obj) == before
+
+
+def test_frozen_base_leaves_equality_to_subclasses():
+    assert "__eq__" not in vars(Frozen) and "__hash__" not in vars(Frozen)
+    for cls in (IndexedMatrix, MonomialPoly, SchurExpansion):
+        assert cls.__hash__ is None
