@@ -429,23 +429,14 @@ def identity_matrix(n: int, bound: ShapeBound) -> IndexedMatrix:
 
 
 def multiplicity_matrix(
-    n: int, bound: ShapeBound, method: str = "chain", cross_check: bool = False
+    n: int, bound: ShapeBound, method: str = "chain"
 ) -> IndexedMatrix:
-    """The full multiplicity matrix over the canonical order.
-
-    With cross_check, every row is re-derived through the linear-system route
-    and compared entry by entry.
-    """
+    """The full multiplicity matrix over the canonical order."""
     bound.require_stable(n)
     order = multipartitions(n, bound)
-    rows = []
-    for la in order:
-        row = [multiplicity(la, mu, bound, method=method) for mu in order]
-        if cross_check:
-            solved = _solve_row(la, bound)
-            if row != [solved[mu] for mu in order]:
-                raise ConsistencyError(f"row of {la} disagrees with the solver route")
-        rows.append(row)
+    rows = [
+        [multiplicity(la, mu, bound, method=method) for mu in order] for la in order
+    ]
     mat = IndexedMatrix(n, bound, order, rows)
     if not mat.is_unitriangular():
         raise ConsistencyError("multiplicity matrix is not unitriangular: bug")

@@ -11,7 +11,7 @@ import json
 import os
 import tempfile
 
-from .serialize import FORMAT_VERSION
+FORMAT_VERSION = 2
 
 
 def _digest(op: str, key_obj) -> str:

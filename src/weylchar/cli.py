@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Shapes are passed as strict JSON (quote them in the shell). Exit codes:
-0 success, 2 malformed input or an OS error (such as an unwritable --out),
-3 internal consistency failure. Results are deterministic byte for byte for
-fixed inputs, and a warm cache replays them unchanged.
+0 success, 2 malformed input, an input too deep to compute or an OS error
+(such as an unwritable --out), 3 internal consistency failure. Results are
+deterministic byte for byte for fixed inputs, and a warm cache replays
+them unchanged, warning lines and exit code included.
 """
 
 import argparse
@@ -47,7 +48,7 @@ def _parse_m(text: str) -> ShapeBound:
 
 
 def _resolve_bound(args, n: int, r: int) -> ShapeBound:
-    if getattr(args, "m", None):
+    if args.m:
         bound = _parse_m(args.m)
         if bound.r != r:
             raise InputError(f"--m has {bound.r} components, expected {r}")
@@ -57,8 +58,14 @@ def _resolve_bound(args, n: int, r: int) -> ShapeBound:
     return bound
 
 
+def _matrix_output(mat: branching.IndexedMatrix, fmt: str) -> tuple:
+    if fmt == "tsv":
+        return matrix_to_tsv(mat), 0
+    return json_bytes(matrix_to_obj(mat)).decode(), 0
+
+
 def cmd_beta(args) -> tuple:
-    la = _parse_shape(args.lam, args.r)
+    la = _parse_shape(args.lam)
     mu = _parse_shape(args.mu, la.r)
     bound = _resolve_bound(args, la.size, la.r)
     if args.method == "all":
@@ -73,24 +80,20 @@ def cmd_beta(args) -> tuple:
 
 
 def cmd_beta_matrix(args) -> tuple:
-    if args.n is None or args.r is None:
-        raise InputError("beta-matrix needs --n and --r")
     bound = _resolve_bound(args, args.n, args.r)
     mat = branching.multiplicity_matrix(args.n, bound, method=args.method)
-    if args.format == "tsv":
-        return matrix_to_tsv(mat), 0
-    return json_bytes(matrix_to_obj(mat)).decode(), 0
+    return _matrix_output(mat, args.format)
 
 
 def cmd_character(args) -> tuple:
-    la = _parse_shape(args.lam, args.r)
+    la = _parse_shape(args.lam)
     bound = _resolve_bound(args, la.size, la.r)
     poly = symfunc.character(la, bound)
     return json_bytes(expansion_to_obj(poly)).decode(), 0
 
 
 def cmd_tilde(args) -> tuple:
-    la = _parse_shape(args.lam, args.r)
+    la = _parse_shape(args.lam)
     bound = _resolve_bound(args, la.size, la.r)
     exp = symfunc.weyl_schur(la, bound)
     return json_bytes(expansion_to_obj(exp)).decode(), 0
@@ -104,14 +107,12 @@ def cmd_cmul(args) -> tuple:
 
 
 def cmd_conjecture_scan(args) -> tuple:
-    if args.n_max is None or args.r is None:
-        raise InputError("conjecture-scan needs --n-max and --r")
     report = symfunc.scan_structure_constants(args.n_max, args.r)
     return json_bytes(scan_report_to_obj(report)).decode(), 0
 
 
 def cmd_crystal_graph(args) -> tuple:
-    la = _parse_shape(args.lam, args.r)
+    la = _parse_shape(args.lam)
     inner = (
         _parse_shape(args.inner, la.r) if args.inner else None
     )
@@ -166,10 +167,7 @@ def cmd_factorize(args) -> tuple:
             "worst_entry": None if worst is None else list(worst),
         }
         return json_bytes(obj).decode(), 0
-    derived = branching.derive_decomposition(bmat, dbar)
-    if args.format == "tsv":
-        return matrix_to_tsv(derived), 0
-    return json_bytes(matrix_to_obj(derived)).decode(), 0
+    return _matrix_output(branching.derive_decomposition(bmat, dbar), args.format)
 
 
 _COMMANDS = {
@@ -187,18 +185,24 @@ _COMMANDS = {
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write output to this path instead of stdout")
     p.add_argument("--cache-dir", help="cache directory (or env WEYLCHAR_CACHE)")
+
+
+def _add_bound(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", help="comma-separated component caps, default n each")
-    p.add_argument("--r", type=int, help="number of components")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weylchar",
         description="exact multipartition tableau, crystal and character engine",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("beta", help="one branching multiplicity")
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=summary, allow_abbrev=False)
+
+    p = command("beta", "one branching multiplicity")
     p.add_argument("--lambda", dest="lam", required=True, help="shape, JSON")
     p.add_argument("--mu", required=True, help="weight shape, JSON")
     p.add_argument(
@@ -206,38 +210,45 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(branching.METHODS) + ["all"],
         default="chain",
     )
+    _add_bound(p)
     _add_common(p)
 
-    p = sub.add_parser("beta-matrix", help="full multiplicity matrix")
-    p.add_argument("--n", type=int)
+    p = command("beta-matrix", "full multiplicity matrix")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--r", type=int, required=True, help="number of components")
     p.add_argument("--method", choices=list(branching.METHODS), default="chain")
     p.add_argument("--format", choices=["json", "tsv"], default="json")
+    _add_bound(p)
     _add_common(p)
 
-    p = sub.add_parser("character", help="monomial character of a shape")
+    p = command("character", "monomial character of a shape")
     p.add_argument("--lambda", dest="lam", required=True)
+    _add_bound(p)
     _add_common(p)
 
-    p = sub.add_parser("tilde", help="character in the Schur basis")
+    p = command("tilde", "character in the Schur basis")
     p.add_argument("--lambda", dest="lam", required=True)
+    _add_bound(p)
     _add_common(p)
 
-    p = sub.add_parser("cmul", help="structure constants of a product")
+    p = command("cmul", "structure constants of a product")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--mu", required=True)
     _add_common(p)
 
-    p = sub.add_parser("conjecture-scan", help="scan structure constants")
-    p.add_argument("--n-max", dest="n_max", type=int)
+    p = command("conjecture-scan", "scan structure constants")
+    p.add_argument("--n-max", dest="n_max", type=int, required=True)
+    p.add_argument("--r", type=int, required=True, help="number of components")
     _add_common(p)
 
-    p = sub.add_parser("crystal-graph", help="crystal graph of a shape")
+    p = command("crystal-graph", "crystal graph of a shape")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--inner", help="inner shape for a skew diagram, JSON")
     p.add_argument("--format", choices=["dot", "json"], default="dot")
+    _add_bound(p)
     _add_common(p)
 
-    p = sub.add_parser("factorize", help="decomposition-matrix harness")
+    p = command("factorize", "decomposition-matrix harness")
     p.add_argument("--B", dest="b", default="auto", help="matrix file or 'auto'")
     p.add_argument("--Dbar", dest="dbar", required=True, help="matrix file")
     p.add_argument("--X", dest="x", help="matrix file, default identity")
@@ -264,39 +275,45 @@ def _cache_key(args) -> dict:
     return key
 
 
+def _run(args) -> dict:
+    """Run one command; the record a warm cache replays in full."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        output, code = _COMMANDS[args.command](args)
+    messages = [str(w.message) for w in caught]
+    return {"output": output, "code": code, "warnings": messages}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     cache_dir = args.cache_dir or os.environ.get("WEYLCHAR_CACHE")
+    op = "cli-" + args.command
     try:
         cache = FileCache(cache_dir) if cache_dir else None
-        cached = cache.get("cli-" + args.command, _cache_key(args)) if cache else None
-        if cached is not None:
-            output, code = cached["output"], cached["code"]
-        else:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                output, code = _COMMANDS[args.command](args)
-            for w in caught:
-                print(f"warning: {w.message}", file=sys.stderr)
+        key = _cache_key(args) if cache else None
+        record = cache.get(op, key) if cache else None
+        if record is None:
+            record = _run(args)
             if cache:
-                cache.put(
-                    "cli-" + args.command,
-                    _cache_key(args),
-                    {"output": output, "code": code},
-                )
+                cache.put(op, key, record)
+        for message in record["warnings"]:
+            print(f"warning: {message}", file=sys.stderr)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(output)
+                fh.write(record["output"])
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input too large: recursion limit exceeded", file=sys.stderr)
         return 2
     except ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 3
     if not args.out:
-        sys.stdout.write(output)
-    return code
+        sys.stdout.write(record["output"])
+    return record["code"]
 
 
 if __name__ == "__main__":

@@ -164,8 +164,8 @@ def crystal_components(shape, bound: ShapeBound) -> list:
     all_ts = list(enumerate_all_tableaux(shape, bound))
     components = []
     for cls in equivalence_classes(all_ts):
-        by_word = {reading(t): t for t in cls}
-        index = {t: p for p, t in enumerate(cls)}
+        words = [reading(t) for t in cls]
+        by_word = {w: p for p, w in enumerate(words)}
         parent = list(range(len(cls)))
 
         def find(x):
@@ -175,41 +175,37 @@ def crystal_components(shape, bound: ShapeBound) -> list:
             return x
 
         edges = []
-        for t in cls:
-            w = reading(t)
+        for p, w in enumerate(words):
             for op in ops:
                 out = ftilde(w, op)
                 if out is None:
                     continue
-                target = by_word.get(out)
-                if target is None:
+                q = by_word.get(out)
+                if q is None:
                     raise ConsistencyError(
                         "lowering left the equivalence class: convention bug"
                     )
-                edges.append((index[t], op, index[target]))
-                ra, rb = find(index[t]), find(index[target])
+                edges.append((p, op, q))
+                ra, rb = find(p), find(q)
                 if ra != rb:
                     parent[ra] = rb
         groups: dict = {}
-        for t in cls:
-            groups.setdefault(find(index[t]), []).append(index[t])
+        for p in range(len(cls)):
+            groups.setdefault(find(p), []).append(p)
         for members in groups.values():
-            sing = [p for p in members if is_singular(cls[p])]
+            sing = [p for p in members if is_singular_word(words[p])]
             if len(sing) != 1:
                 raise ConsistencyError(
                     f"component has {len(sing)} singular fillings: convention bug"
                 )
-            weight = word_weight(reading(cls[sing[0]]))
+            weight = word_weight(words[sing[0]])
             hw = MultiPartition(Partition(row) for row in weight.rows)
-            members_sorted = sorted(members)
-            remap = {p: q for q, p in enumerate(members_sorted)}
+            remap = {p: q for q, p in enumerate(members)}
             comp_edges = tuple(
                 (remap[s], op, remap[d]) for (s, op, d) in edges if s in remap
             )
             components.append(
-                CrystalComponent(
-                    hw, tuple(cls[p] for p in members_sorted), comp_edges
-                )
+                CrystalComponent(hw, tuple(cls[p] for p in members), comp_edges)
             )
     components.sort(
         key=lambda c: (

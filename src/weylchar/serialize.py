@@ -12,8 +12,6 @@ from .shapes import MultiComposition, MultiPartition, Partition, ShapeBound
 from .symfunc import MonomialPoly, SchurExpansion
 from .tableaux import Tableau
 
-FORMAT_VERSION = 1
-
 
 def json_bytes(obj) -> bytes:
     """Canonical JSON encoding: fixed separators, preserved key order."""

@@ -453,9 +453,6 @@ class SkewShape(Frozen):
         """Index of a cell in reading order, or None when absent."""
         return self._index.get(cell)
 
-    def __contains__(self, cell: Cell) -> bool:
-        return cell in self._index
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SkewShape)
@@ -469,7 +466,3 @@ class SkewShape(Frozen):
     def __repr__(self) -> str:
         return f"SkewShape({self.outer!r}, {self.inner!r})"
 
-
-def skew_cells(shape: SkewShape) -> tuple:
-    """Cells of the difference diagram, sorted in reading order."""
-    return shape.cells()

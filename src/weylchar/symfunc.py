@@ -286,6 +286,8 @@ def scan_structure_constants(n_max: int, r: int) -> dict:
     component-size vector differs from that of the factor sum. Violations
     are reported, never asserted absent.
     """
+    if n_max < 0:
+        raise InputError(f"n_max must be nonnegative, got {n_max}")
     pairs = []
     for total in range(n_max + 1):
         for a in range(total + 1):

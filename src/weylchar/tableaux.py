@@ -59,12 +59,6 @@ class Tableau(Frozen):
             raise InputError("mapping does not cover the shape exactly")
         return cls(shape, tuple(mapping[c] for c in shape.cells()), bound)
 
-    def entry(self, cell: Cell) -> Entry:
-        pos = self.shape.position(cell)
-        if pos is None:
-            raise InputError(f"{cell} not in shape")
-        return self.entries[pos]
-
     def items(self) -> Iterator:
         return zip(self.shape.cells(), self.entries)
 

@@ -281,7 +281,7 @@ def test_matrix_inverse_exact():
 
 def test_matrix_cross_check_route():
     b = ShapeBound((3, 3))
-    multiplicity_matrix(3, b, cross_check=True)
+    assert multiplicity_matrix(3, b) == multiplicity_matrix(3, b, method="solve")
 
 
 def test_invert_rejects_non_unitriangular():

@@ -12,9 +12,7 @@ def run(capsys, *argv):
 
 
 def test_beta_command(capsys):
-    code, out, _ = run(
-        capsys, "beta", "--lambda", "[[2],[]]", "--mu", "[[1],[1]]", "--r", "2"
-    )
+    code, out, _ = run(capsys, "beta", "--lambda", "[[2],[]]", "--mu", "[[1],[1]]")
     assert code == 0
     assert out == "1\n"
 
@@ -55,6 +53,10 @@ def test_malformed_shape_exits_2(tmp_path, capsys):
         code, _, err = run(capsys, "factorize", "--B", str(bad), "--Dbar", str(bad))
         assert code == 2, text
         assert "error" in err
+    # A negative scan bound.
+    code, _, err = run(capsys, "conjecture-scan", "--n-max", "-1", "--r", "2")
+    assert code == 2
+    assert "error" in err
 
 
 def test_size_mismatch_exits_2(capsys):
@@ -232,6 +234,50 @@ def test_jobs_option_refused():
     with pytest.raises(SystemExit) as exc:
         cli.main(["beta-matrix", "--n", "2", "--r", "2", "--jobs", "2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("beta", "--lambda", "[[2],[]]", "--mu", "[[1],[1]]", "--r", "2"),
+        ("character", "--lambda", "[[1],[]]", "--r", "2"),
+        ("tilde", "--lambda", "[[1],[]]", "--r", "2"),
+        ("crystal-graph", "--lambda", "[[1],[1]]", "--r", "2"),
+        ("cmul", "--lambda", "[[1],[]]", "--mu", "[[],[1]]", "--r", "2"),
+        ("cmul", "--lambda", "[[1],[]]", "--mu", "[[],[1]]", "--m", "1,1"),
+        ("conjecture-scan", "--n-max", "1", "--r", "2", "--m", "1,1"),
+        ("factorize", "--Dbar", "identity.json", "--r", "2"),
+        ("factorize", "--Dbar", "identity.json", "--m", "1,1"),
+        ("beta", "--lam", "[[2],[]]", "--mu", "[[1],[1]]"),
+        ("beta", "--lambda", "[[2],[]]", "--mu", "[[1],[1]]", "--meth", "solve"),
+    ],
+)
+def test_unread_or_abbreviated_option_refused(argv, capsys):
+    # argparse refuses these itself, before any file is read.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_deep_input_exits_2(capsys):
+    code, out, err = run(capsys, "beta", "--lambda", "[[1200]]", "--mu", "[[1200]]")
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "Traceback" not in err
+
+
+def test_warm_cache_replays_warnings(tmp_path, capsys):
+    code, bmat_out, _ = run(capsys, "beta-matrix", "--n", "1", "--r", "2")
+    assert code == 0
+    swapped = dict(json.loads(bmat_out), rows=[[0, 1], [1, 0]])
+    dbar = tmp_path / "swapped.json"
+    dbar.write_text(json.dumps(swapped))
+    args = ["factorize", "--Dbar", str(dbar), "--cache-dir", str(tmp_path / "c")]
+    cold = run(capsys, *args)
+    warm = run(capsys, *args)
+    assert cold == warm
+    assert cold[0] == 0
+    assert cold[2] == "warning: dbar factor is not unitriangular\n"
 
 
 def test_out_file(tmp_path, capsys):

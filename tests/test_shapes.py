@@ -19,7 +19,6 @@ from weylchar import (
     group_sizes,
     multipartitions,
     prefix_dominates,
-    skew_cells,
     split_components,
 )
 from weylchar import (
@@ -195,9 +194,9 @@ def test_cell_order_total_on_diagrams():
 
 def test_skew_cells_examples():
     s = SkewShape(mp([[1], [1]]))
-    assert skew_cells(s) == (Cell(0, 0, 1), Cell(0, 0, 0))
-    assert skew_cells(SkewShape(mp([[1], []]), mp([[1], []]))) == ()
-    assert skew_cells(SkewShape(mp([[2], []]), mp([[1], []]))) == (Cell(0, 1, 0),)
+    assert s.cells() == (Cell(0, 0, 1), Cell(0, 0, 0))
+    assert SkewShape(mp([[1], []]), mp([[1], []])).cells() == ()
+    assert SkewShape(mp([[2], []]), mp([[1], []])).cells() == (Cell(0, 1, 0),)
     with pytest.raises(InputError):
         SkewShape(mp([[1], []]), mp([[2], []]))
 
