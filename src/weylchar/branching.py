@@ -20,7 +20,6 @@ from .errors import ConsistencyError, InputError
 from .crystal import is_singular
 from .shapes import (
     EMPTY,
-    Cell,
     Frozen,
     MultiPartition,
     Partition,
@@ -181,14 +180,10 @@ def skew_singular_count(shape: SkewShape, comp: int, weight_row: tuple) -> int:
         raise InputError("weight size does not match the skew shape")
     if not 0 <= comp < shape.r:
         raise InputError(f"component {comp} out of range")
-    cells = shape.cells()
+    cells, right, above = shape.neighbours()
     if any(c.k > comp for c in cells):
         return 0
-    return _lattice_count(
-        [shape.position(Cell(c.i, c.j + 1, c.k)) for c in cells],
-        [shape.position(Cell(c.i - 1, c.j, c.k)) for c in cells],
-        weight_row,
-    )
+    return _lattice_count(right, above, weight_row)
 
 
 def _prepare(la: MultiPartition, mu: MultiPartition, bound: Optional[ShapeBound]):

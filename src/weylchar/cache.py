@@ -39,7 +39,8 @@ class FileCache:
         except (OSError, ValueError):
             return None
         if (
-            payload.get("format_version") != FORMAT_VERSION
+            not isinstance(payload, dict)
+            or payload.get("format_version") != FORMAT_VERSION
             or payload.get("op") != op
             or payload.get("digest") != "sha256"
             or payload.get("key") != key_obj

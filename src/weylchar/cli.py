@@ -67,16 +67,15 @@ def _matrix_output(mat: branching.IndexedMatrix, fmt: str) -> tuple:
 def cmd_beta(args) -> tuple:
     la = _parse_shape(args.lam)
     mu = _parse_shape(args.mu, la.r)
-    bound = _resolve_bound(args, la.size, la.r)
     if args.method == "all":
         values = {
-            name: branching.multiplicity(la, mu, bound, method=name)
+            name: branching.multiplicity(la, mu, method=name)
             for name in branching.METHODS
         }
         agree = len(set(values.values())) == 1
         out = json_bytes({**values, "agree": agree}).decode()
         return out, (0 if agree else 3)
-    return f"{branching.multiplicity(la, mu, bound, method=args.method)}\n", 0
+    return f"{branching.multiplicity(la, mu, method=args.method)}\n", 0
 
 
 def cmd_beta_matrix(args) -> tuple:
@@ -93,9 +92,7 @@ def cmd_character(args) -> tuple:
 
 
 def cmd_tilde(args) -> tuple:
-    la = _parse_shape(args.lam)
-    bound = _resolve_bound(args, la.size, la.r)
-    exp = symfunc.weyl_schur(la, bound)
+    exp = symfunc.weyl_schur(_parse_shape(args.lam))
     return json_bytes(expansion_to_obj(exp)).decode(), 0
 
 
@@ -113,9 +110,7 @@ def cmd_conjecture_scan(args) -> tuple:
 
 def cmd_crystal_graph(args) -> tuple:
     la = _parse_shape(args.lam)
-    inner = (
-        _parse_shape(args.inner, la.r) if args.inner else None
-    )
+    inner = _parse_shape(args.inner, la.r) if args.inner else None
     bound = _resolve_bound(args, la.size, la.r)
     shape = SkewShape(la, inner)
     comps = crystal_components(shape, bound)
@@ -124,21 +119,32 @@ def cmd_crystal_graph(args) -> tuple:
     return components_to_dot(comps), 0
 
 
-def _load_matrix(path: str) -> branching.IndexedMatrix:
+def _read_matrix_files(args) -> dict:
+    """The text of every matrix file the command names, read once as UTF-8."""
+    texts = {}
+    for name in ("b", "dbar", "x", "d"):
+        path = getattr(args, name, None)
+        if path and path != "auto":
+            try:
+                with open(path, "rb") as fh:
+                    texts[name] = fh.read().decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise InputError(f"{path} is not UTF-8: {exc}")
+    return texts
+
+
+def _load_matrix(args, name: str) -> branching.IndexedMatrix:
     try:
-        with open(path, "rb") as fh:
-            obj = json.loads(fh.read().decode("utf-8"))
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}")
+        obj = json.loads(args.texts[name])
     except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON in {path}: {exc}")
+        raise InputError(f"invalid JSON in {getattr(args, name)}: {exc}")
     return matrix_from_obj(obj)
 
 
 def cmd_factorize(args) -> tuple:
-    dbar = _load_matrix(args.dbar)
-    if args.b and args.b != "auto":
-        bmat = _load_matrix(args.b)
+    dbar = _load_matrix(args, "dbar")
+    if "b" in args.texts:
+        bmat = _load_matrix(args, "b")
     else:
         if multipartitions(dbar.n, dbar.bound) != dbar.order:
             raise InputError("dbar order is not the canonical order")
@@ -149,7 +155,7 @@ def cmd_factorize(args) -> tuple:
         raise InputError("--X is only meaningful with --D (residual report)")
     if args.d:
         if args.x:
-            xmat = _load_matrix(args.x)
+            xmat = _load_matrix(args, "x")
         else:
             dim = dbar.dim
             xmat = branching.IndexedMatrix(
@@ -158,7 +164,7 @@ def cmd_factorize(args) -> tuple:
                 dbar.order,
                 [[int(i == j) for j in range(dim)] for i in range(dim)],
             )
-        dmat = _load_matrix(args.d)
+        dmat = _load_matrix(args, "d")
         report = branching.factorization_residual(bmat, dbar, xmat, dmat)
         worst = report["worst_entry"]
         obj = {
@@ -210,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(branching.METHODS) + ["all"],
         default="chain",
     )
-    _add_bound(p)
     _add_common(p)
 
     p = command("beta-matrix", "full multiplicity matrix")
@@ -228,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("tilde", "character in the Schur basis")
     p.add_argument("--lambda", dest="lam", required=True)
-    _add_bound(p)
     _add_common(p)
 
     p = command("cmul", "structure constants of a product")
@@ -260,19 +264,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cache_key(args) -> dict:
-    skip = {"out", "cache_dir"}
-    key = {}
-    for name, value in sorted(vars(args).items()):
-        if name in skip:
-            continue
-        if name in ("b", "dbar", "x", "d") and value and value != "auto":
-            try:
-                with open(value, "rb") as fh:
-                    value = fh.read().decode("utf-8", "replace")
-            except OSError:
-                pass
-        key[name] = value
-    return key
+    """Every option but --out and --cache-dir; a matrix file by its text."""
+    return {
+        name: args.texts.get(name, value)
+        for name, value in sorted(vars(args).items())
+        if name not in ("out", "cache_dir", "texts")
+    }
+
+
+def _replayable(record) -> bool:
+    """True for a cached record of exactly the form _run returns."""
+    return (
+        isinstance(record, dict)
+        and record.keys() == {"output", "code", "warnings"}
+        and isinstance(record["output"], str)
+        and type(record["code"]) is int and record["code"] in (0, 3)
+        and isinstance(record["warnings"], list)
+        and all(isinstance(w, str) for w in record["warnings"])
+    )
 
 
 def _run(args) -> dict:
@@ -290,10 +299,11 @@ def main(argv=None) -> int:
     cache_dir = args.cache_dir or os.environ.get("WEYLCHAR_CACHE")
     op = "cli-" + args.command
     try:
+        args.texts = _read_matrix_files(args)
         cache = FileCache(cache_dir) if cache_dir else None
         key = _cache_key(args) if cache else None
         record = cache.get(op, key) if cache else None
-        if record is None:
+        if not _replayable(record):
             record = _run(args)
             if cache:
                 cache.put(op, key, record)

@@ -315,11 +315,6 @@ def cell_order_cmp(x: Cell, y: Cell) -> int:
     return 0
 
 
-def reading_key(cell: Cell) -> tuple:
-    """Sort key placing cells in reading order (descending cell order)."""
-    return (-cell.k, -cell.j, cell.i)
-
-
 @cache
 def _bounded_partitions(n: int, max_part: int, max_rows: int) -> tuple:
     """All partitions of n with parts <= max_part and at most max_rows rows,
@@ -418,7 +413,7 @@ def multicompositions(n: int, bound: ShapeBound) -> tuple:
 class SkewShape(Frozen):
     """A multipartition diagram minus a contained inner multipartition."""
 
-    __slots__ = ("outer", "inner", "_cells", "_index")
+    __slots__ = ("outer", "inner")
 
     def __init__(self, outer: MultiPartition, inner: MultiPartition = None):
         if inner is None:
@@ -427,15 +422,6 @@ class SkewShape(Frozen):
             raise InputError(f"inner {inner} not contained in outer {outer}")
         object.__setattr__(self, "outer", outer)
         object.__setattr__(self, "inner", inner)
-        cells = [
-            Cell(i, j, k)
-            for k, comp in enumerate(outer.components)
-            for i, rowlen in enumerate(comp.parts)
-            for j in range(inner.component(k).row(i), rowlen)
-        ]
-        cells.sort(key=reading_key)
-        object.__setattr__(self, "_cells", tuple(cells))
-        object.__setattr__(self, "_index", {c: p for p, c in enumerate(cells)})
 
     @property
     def r(self) -> int:
@@ -443,15 +429,28 @@ class SkewShape(Frozen):
 
     @property
     def n_cells(self) -> int:
-        return len(self._cells)
+        return self.outer.size - self.inner.size
 
     def cells(self) -> tuple:
         """All cells in reading order."""
-        return self._cells
+        cells = [
+            Cell(i, j, k)
+            for k, comp in enumerate(self.outer.components)
+            for i, rowlen in enumerate(comp.parts)
+            for j in range(self.inner.component(k).row(i), rowlen)
+        ]
+        cells.sort(key=lambda c: (-c.k, -c.j, c.i))  # descending cell order
+        return tuple(cells)
 
-    def position(self, cell: Cell):
-        """Index of a cell in reading order, or None when absent."""
-        return self._index.get(cell)
+    def neighbours(self) -> tuple:
+        """(cells, right, above): the cells in reading order and, per cell, the
+        position of its right and of its upper neighbour, or None. Both come
+        earlier in reading order."""
+        cells = self.cells()
+        index = {c: p for p, c in enumerate(cells)}
+        right = [index.get(Cell(c.i, c.j + 1, c.k)) for c in cells]
+        above = [index.get(Cell(c.i - 1, c.j, c.k)) for c in cells]
+        return cells, right, above
 
     def __eq__(self, other) -> bool:
         return (

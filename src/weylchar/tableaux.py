@@ -9,7 +9,6 @@ from typing import Iterator, NamedTuple
 
 from .errors import InputError
 from .shapes import (
-    Cell,
     Frozen,
     MultiComposition,
     MultiPartition,
@@ -83,18 +82,16 @@ def superstandard(la: MultiPartition, bound: ShapeBound) -> Tableau:
 
 
 def is_semistandard(t: Tableau) -> bool:
-    shape = t.shape
-    for cell, e in t.items():
+    cells, right, above = t.shape.neighbours()
+    ents = t.entries
+    for cell, e, rp, ap in zip(cells, ents, right, above):
         if e.c < cell.k:
             return False
-        right = shape.position(Cell(cell.i, cell.j + 1, cell.k))
-        if right is not None and not entry_le(e, t.entries[right]):
+        if rp is not None and not entry_le(e, ents[rp]):
             return False
-        below = shape.position(Cell(cell.i + 1, cell.j, cell.k))
-        if below is not None:
-            b = t.entries[below]
-            if not (entry_le(e, b) and e != b):
-                return False
+        # The entry order is total, so "not e <= above" means above < e.
+        if ap is not None and entry_le(e, ents[ap]):
+            return False
     return True
 
 
@@ -112,12 +109,8 @@ def _fillings(shape: SkewShape, bound: ShapeBound, remaining: list) -> Iterator[
     Cells are filled in reading order; at each cell the candidate entries are
     tried in ascending entry order, so the output order is deterministic.
     """
-    cells = shape.cells()
+    cells, right_pos, above_pos = shape.neighbours()
     n = len(cells)
-    # Neighbors filled earlier in reading order: the cell to the right and
-    # the cell above.
-    right_pos = [shape.position(Cell(c.i, c.j + 1, c.k)) for c in cells]
-    above_pos = [shape.position(Cell(c.i - 1, c.j, c.k)) for c in cells]
     entries: list = [None] * n
 
     def rec(pos: int) -> Iterator[Tableau]:

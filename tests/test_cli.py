@@ -146,6 +146,21 @@ def test_crystal_graph_summary(capsys):
     ]
 
 
+def test_crystal_graph_skew_inner(capsys):
+    argv = ["crystal-graph", "--lambda", "[[2],[1]]", "--format", "json"]
+    code, out, _ = run(capsys, *argv, "--inner", "[[1],[]]")
+    assert code == 0
+    assert out == (
+        '[{"highest_weight":[[1],[1]],"size":9},'
+        '{"highest_weight":[[],[2]],"size":6},'
+        '{"highest_weight":[[],[1,1]],"size":3}]\n'
+    )
+    # An inner shape that does not fit inside the outer one.
+    code, out, err = run(capsys, *argv, "--inner", "[[3],[]]")
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
 def test_factorize_identity_matches_beta_matrix(tmp_path, capsys):
     code, bmat_out, _ = run(capsys, "beta-matrix", "--n", "2", "--r", "2")
     assert code == 0
@@ -207,9 +222,12 @@ def test_factorize_missing_file_exits_2(capsys):
 
 def test_factorize_malformed_json_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{broken")
-    code, _, err = run(capsys, "factorize", "--Dbar", str(bad))
-    assert code == 2
+    # Broken JSON, and bytes that are not UTF-8.
+    for data in (b"{broken", b'{"n":1,\xff\xfe}'):
+        bad.write_bytes(data)
+        code, out, err = run(capsys, "factorize", "--Dbar", str(bad))
+        assert code == 2, data
+        assert out == "" and err.startswith("error:") and "Traceback" not in err
 
 
 def test_cache_idempotent(tmp_path, capsys):
@@ -250,6 +268,8 @@ def test_jobs_option_refused():
         ("factorize", "--Dbar", "identity.json", "--m", "1,1"),
         ("beta", "--lam", "[[2],[]]", "--mu", "[[1],[1]]"),
         ("beta", "--lambda", "[[2],[]]", "--mu", "[[1],[1]]", "--meth", "solve"),
+        ("beta", "--lambda", "[[2],[]]", "--mu", "[[1],[1]]", "--m", "2,2"),
+        ("tilde", "--lambda", "[[1],[]]", "--m", "1,1"),
     ],
 )
 def test_unread_or_abbreviated_option_refused(argv, capsys):
@@ -264,6 +284,28 @@ def test_deep_input_exits_2(capsys):
     code, out, err = run(capsys, "beta", "--lambda", "[[1200]]", "--mu", "[[1200]]")
     assert code == 2
     assert out == "" and err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda entry: [],
+        lambda entry: dict(entry, result=[1]),
+        lambda entry: dict(entry, result=dict(entry["result"], output=5)),
+        lambda entry: dict(entry, result=dict(entry["result"], code="0")),
+    ],
+    ids=["not-an-object", "result-list", "output-int", "code-str"],
+)
+def test_unreadable_cache_entry_is_recomputed(corrupt, tmp_path, capsys):
+    args = ["tilde", "--lambda", "[[1],[]]", "--cache-dir", str(tmp_path / "c")]
+    cold = run(capsys, *args)
+    assert cold[0] == 0 and cold[2] == ""
+    (path,) = (tmp_path / "c").iterdir()
+    entry = json.loads(path.read_text())
+    path.write_text(json.dumps(corrupt(entry)))
+    assert run(capsys, *args) == cold
+    # The warm run rewrote the entry.
+    assert json.loads(path.read_text()) == entry
 
 
 def test_warm_cache_replays_warnings(tmp_path, capsys):
@@ -328,7 +370,5 @@ def test_consistency_exit_code(monkeypatch, capsys):
 
 
 def test_stale_bound_rejected(capsys):
-    code, _, err = run(
-        capsys, "beta", "--lambda", "[[2],[]]", "--mu", "[[1],[1]]", "--m", "1,1"
-    )
+    code, _, err = run(capsys, "character", "--lambda", "[[2],[]]", "--m", "1,1")
     assert code == 2

@@ -236,6 +236,18 @@ def test_union_alphabet_bad_component():
         union_alphabet_schur(Partition([1]), 2, 2)
 
 
+def test_lr_only_route_matches_weyl_schur():
+    # A fourth route built from LR coefficients alone: the row of la is the
+    # product over k of s_{la^(k)} on the union of the alphabets k..r-1.
+    for r, n_max in ((2, 6), (3, 4)):
+        for n in range(n_max + 1):
+            for la in multipartitions(n, ShapeBound.for_size(n, r)):
+                row = SchurExpansion(r, 0, {MultiPartition.empty(r): 1})
+                for k, p in enumerate(la.components):
+                    row = schur_product(row, union_alphabet_schur(p, k, r))
+                assert row.terms == weyl_schur(la).terms, la
+
+
 def test_scan_structure_constants_shape():
     report = scan_structure_constants(3, 2)
     assert report["scanned"] > 0
