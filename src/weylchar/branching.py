@@ -30,7 +30,7 @@ from .shapes import (
     multipartitions,
     split_components,
 )
-from .tableaux import count_tableaux, enumerate_tableaux
+from .tableaux import count_straight_tableaux, enumerate_tableaux
 
 METHODS = ("singular", "chain", "solve")
 
@@ -300,7 +300,7 @@ def _solve_row(la: MultiPartition, bound: ShapeBound) -> dict:
     order = multipartitions(la.size, bound)
     row: dict = {}
     for mu in order:
-        t = count_tableaux(SkewShape(la), as_composition(mu, bound))
+        t = count_straight_tableaux(la, mu, bound)
         acc = 0
         for nu, val in row.items():
             if not val:

@@ -10,6 +10,7 @@ them unchanged, warning lines and exit code included.
 import argparse
 import json
 import os
+import re
 import sys
 import warnings
 
@@ -29,26 +30,29 @@ from .serialize import (
     scan_report_to_obj,
     weyl_expansion_to_obj,
 )
-from .shapes import ShapeBound, SkewShape, multipartitions
+from .shapes import MAX_CAP, ShapeBound, SkewShape, multipartitions
 
 
 def _parse_shape(text: str, r=None):
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer of too many digits
         raise InputError(f"invalid JSON shape: {exc}")
     return multipartition_from_obj(obj, r)
 
 
 def _parse_m(text: str) -> ShapeBound:
+    if not re.fullmatch(r"[0-9]+(,[0-9]+)*", text):
+        raise InputError(f"bad --m value {text!r}: need comma-separated integers")
     try:
-        return ShapeBound(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise InputError(f"bad --m value {text!r}: {exc}")
+        caps = [int(x) for x in text.split(",")]
+    except ValueError:  # more digits than int() converts, so far above any cap
+        raise InputError(f"bad --m value: a cap above {MAX_CAP}")
+    return ShapeBound(caps)
 
 
 def _resolve_bound(args, n: int, r: int) -> ShapeBound:
-    if args.m:
+    if args.m is not None:
         bound = _parse_m(args.m)
         if bound.r != r:
             raise InputError(f"--m has {bound.r} components, expected {r}")
@@ -110,7 +114,7 @@ def cmd_conjecture_scan(args) -> tuple:
 
 def cmd_crystal_graph(args) -> tuple:
     la = _parse_shape(args.lam)
-    inner = _parse_shape(args.inner, la.r) if args.inner else None
+    inner = _parse_shape(args.inner, la.r) if args.inner is not None else None
     bound = _resolve_bound(args, la.size, la.r)
     shape = SkewShape(la, inner)
     comps = crystal_components(shape, bound)
@@ -124,19 +128,21 @@ def _read_matrix_files(args) -> dict:
     texts = {}
     for name in ("b", "dbar", "x", "d"):
         path = getattr(args, name, None)
-        if path and path != "auto":
+        if path is not None and path != "auto":
             try:
                 with open(path, "rb") as fh:
                     texts[name] = fh.read().decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise InputError(f"{path} is not UTF-8: {exc}")
+            except ValueError as exc:  # a NUL byte or lone surrogate in the path
+                raise InputError(f"bad path {path!r}: {exc}")
     return texts
 
 
 def _load_matrix(args, name: str) -> branching.IndexedMatrix:
     try:
         obj = json.loads(args.texts[name])
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise InputError(f"invalid JSON in {getattr(args, name)}: {exc}")
     return matrix_from_obj(obj)
 
@@ -151,10 +157,10 @@ def cmd_factorize(args) -> tuple:
         bmat = branching.multiplicity_matrix(dbar.n, dbar.bound)
     if not bmat.same_index(dbar):
         raise InputError("B and Dbar are indexed differently")
-    if args.x and not args.d:
+    if args.x is not None and args.d is None:
         raise InputError("--X is only meaningful with --D (residual report)")
-    if args.d:
-        if args.x:
+    if args.d is not None:
+        if args.x is not None:
             xmat = _load_matrix(args, "x")
         else:
             dim = dbar.dim
@@ -296,11 +302,12 @@ def _run(args) -> dict:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cache_dir = args.cache_dir or os.environ.get("WEYLCHAR_CACHE")
+    env = os.environ.get("WEYLCHAR_CACHE") or None  # empty means unset
+    cache_dir = env if args.cache_dir is None else args.cache_dir
     op = "cli-" + args.command
     try:
         args.texts = _read_matrix_files(args)
-        cache = FileCache(cache_dir) if cache_dir else None
+        cache = FileCache(cache_dir) if cache_dir is not None else None
         key = _cache_key(args) if cache else None
         record = cache.get(op, key) if cache else None
         if not _replayable(record):
@@ -309,7 +316,7 @@ def main(argv=None) -> int:
                 cache.put(op, key, record)
         for message in record["warnings"]:
             print(f"warning: {message}", file=sys.stderr)
-        if args.out:
+        if args.out is not None:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(record["output"])
     except (InputError, OSError) as exc:
@@ -321,7 +328,7 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 3
-    if not args.out:
+    if args.out is None:
         sys.stdout.write(record["output"])
     return record["code"]
 

@@ -161,9 +161,8 @@ def crystal_components(shape, bound: ShapeBound) -> list:
     exactly one singular filling, whose weight labels the component.
     """
     ops = tuple(operator_indices(bound))
-    all_ts = list(enumerate_all_tableaux(shape, bound))
     components = []
-    for cls in equivalence_classes(all_ts):
+    for cls in equivalence_classes(enumerate_all_tableaux(shape, bound)):
         words = [reading(t) for t in cls]
         by_word = {w: p for p, w in enumerate(words)}
         parent = list(range(len(cls)))

@@ -50,7 +50,7 @@ def tableau_to_obj(t: Tableau) -> dict:
         "inner": multipartition_to_obj(t.shape.inner),
         "entries": [
             [cell.i + 1, cell.j + 1, cell.k + 1, e.a + 1, e.c + 1]
-            for cell, e in t.items()
+            for cell, e in zip(t.shape.cells(), t.entries)
         ],
     }
 
@@ -95,24 +95,16 @@ def matrix_to_tsv(m: IndexedMatrix) -> str:
 
 def expansion_to_obj(e) -> dict:
     if isinstance(e, MonomialPoly):
-        return {
-            "basis": "monomial",
-            "degree": e.degree,
-            "terms": [
-                {"index": multicomposition_to_obj(mc), "coeff": c}
-                for mc, c in e.canonical_items()
-            ],
-        }
-    if isinstance(e, SchurExpansion):
-        return {
-            "basis": "schur",
-            "degree": e.degree,
-            "terms": [
-                {"index": multipartition_to_obj(mp), "coeff": c}
-                for mp, c in e.canonical_items()
-            ],
-        }
-    raise InputError(f"cannot serialize {type(e).__name__}")
+        basis, index = "monomial", multicomposition_to_obj
+    elif isinstance(e, SchurExpansion):
+        basis, index = "schur", multipartition_to_obj
+    else:
+        raise InputError(f"cannot serialize {type(e).__name__}")
+    return {
+        "basis": basis,
+        "degree": e.degree,
+        "terms": [{"index": index(x), "coeff": c} for x, c in e.canonical_items()],
+    }
 
 
 def weyl_expansion_to_obj(e: SchurExpansion) -> dict:

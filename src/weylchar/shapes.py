@@ -4,8 +4,8 @@ All indices (rows, columns, components, letters) are 0-based in memory; the
 serialization layer converts to the 1-based external format.
 """
 
-from functools import cache
-from itertools import chain
+from functools import cache, lru_cache
+from itertools import chain, product
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import InputError
@@ -75,6 +75,10 @@ class Partition(Frozen):
 EMPTY = Partition()
 
 
+# The largest cap m_k, and the largest component count of a default bound.
+MAX_CAP = 10_000
+
+
 class ShapeBound(Frozen):
     """Per-component caps (m_1,...,m_r): row counts of shapes and letter alphabets."""
 
@@ -84,11 +88,15 @@ class ShapeBound(Frozen):
         mt = tuple(int(x) for x in m)
         if not mt or any(x < 1 for x in mt):
             raise InputError(f"bound must be positive in every component: {mt}")
+        if any(x > MAX_CAP for x in mt):
+            raise InputError(f"bound has a cap above {MAX_CAP}")
         object.__setattr__(self, "m", mt)
 
     @classmethod
     def for_size(cls, n: int, r: int) -> "ShapeBound":
         """Default bound m_k = n (m_k = 1 for n = 0), the stable regime."""
+        if r > MAX_CAP:
+            raise InputError(f"more than {MAX_CAP} components")
         return cls((max(n, 1),) * r)
 
     @property
@@ -372,22 +380,12 @@ def multipartitions(n: int, bound: ShapeBound) -> tuple:
     if n < 0:
         raise InputError("n must be nonnegative")
     bound.require_stable(n)
-    r = bound.r
     out = []
-    for sizes in compositions_of(n, r):
+    for sizes in compositions_of(n, bound.r):
         pools = [
-            _bounded_partitions(nk, nk, min(mk, nk)) if nk else ((),)
-            for nk, mk in zip(sizes, bound.m)
+            _bounded_partitions(nk, nk, min(mk, nk)) for nk, mk in zip(sizes, bound.m)
         ]
-
-        def rec(k, acc):
-            if k == r:
-                out.append(MultiPartition(acc))
-                return
-            for p in pools[k]:
-                rec(k + 1, acc + (p,))
-
-        rec(0, ())
+        out.extend(MultiPartition(combo) for combo in product(*pools))
     out.sort(key=lambda mp: canonical_key(mp, bound))
     return tuple(out)
 
@@ -408,6 +406,23 @@ def multicompositions(n: int, bound: ShapeBound) -> tuple:
                     yield (row,) + rest
 
     return tuple(MultiComposition(rows) for rows in rec(0, n))
+
+
+# Shared by every caller, hence all tuples. One entry suffices: the fillings
+# of one shape are generated, checked, read and printed back to back.
+@lru_cache(maxsize=1)
+def _cell_table(outer: MultiPartition, inner: MultiPartition) -> tuple:
+    cells = [
+        Cell(i, j, k)
+        for k, comp in enumerate(outer.components)
+        for i, rowlen in enumerate(comp.parts)
+        for j in range(inner.component(k).row(i), rowlen)
+    ]
+    cells.sort(key=lambda c: (-c.k, -c.j, c.i))  # descending cell order
+    index = {c: p for p, c in enumerate(cells)}
+    right = tuple(index.get(Cell(c.i, c.j + 1, c.k)) for c in cells)
+    above = tuple(index.get(Cell(c.i - 1, c.j, c.k)) for c in cells)
+    return tuple(cells), right, above
 
 
 class SkewShape(Frozen):
@@ -433,24 +448,13 @@ class SkewShape(Frozen):
 
     def cells(self) -> tuple:
         """All cells in reading order."""
-        cells = [
-            Cell(i, j, k)
-            for k, comp in enumerate(self.outer.components)
-            for i, rowlen in enumerate(comp.parts)
-            for j in range(self.inner.component(k).row(i), rowlen)
-        ]
-        cells.sort(key=lambda c: (-c.k, -c.j, c.i))  # descending cell order
-        return tuple(cells)
+        return _cell_table(self.outer, self.inner)[0]
 
     def neighbours(self) -> tuple:
         """(cells, right, above): the cells in reading order and, per cell, the
         position of its right and of its upper neighbour, or None. Both come
         earlier in reading order."""
-        cells = self.cells()
-        index = {c: p for p, c in enumerate(cells)}
-        right = [index.get(Cell(c.i, c.j + 1, c.k)) for c in cells]
-        above = [index.get(Cell(c.i - 1, c.j, c.k)) for c in cells]
-        return cells, right, above
+        return _cell_table(self.outer, self.inner)
 
     def __eq__(self, other) -> bool:
         return (

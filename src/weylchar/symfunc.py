@@ -288,6 +288,7 @@ def scan_structure_constants(n_max: int, r: int) -> dict:
     """
     if n_max < 0:
         raise InputError(f"n_max must be nonnegative, got {n_max}")
+    ShapeBound.for_size(n_max, r)  # refuses n_max or r above MAX_CAP up front
     pairs = []
     for total in range(n_max + 1):
         for a in range(total + 1):

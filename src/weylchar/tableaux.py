@@ -58,9 +58,6 @@ class Tableau(Frozen):
             raise InputError("mapping does not cover the shape exactly")
         return cls(shape, tuple(mapping[c] for c in shape.cells()), bound)
 
-    def items(self) -> Iterator:
-        return zip(self.shape.cells(), self.entries)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Tableau)
@@ -175,15 +172,12 @@ def count_straight_tableaux(
 
 
 def equivalence_key(t: Tableau) -> tuple:
-    """For each entry component c, the set of cells carrying a c-entry.
+    """The entry component of each cell, in reading order.
 
-    Two fillings of one shape are equivalent exactly when their keys agree;
-    equivalent fillings have the same component-size vector.
+    Two fillings of one shape are equivalent exactly when every entry
+    component covers the same cells in both, i.e. when their keys agree.
     """
-    buckets: list = [[] for _ in range(t.bound.r)]
-    for cell, e in t.items():
-        buckets[e.c].append(cell)
-    return tuple(frozenset(b) for b in buckets)
+    return tuple(e.c for e in t.entries)
 
 
 def equivalence_classes(ts) -> list:

@@ -46,6 +46,9 @@ def test_malformed_shape_exits_2(tmp_path, capsys):
         '{"n":0,"r":3,"m":[1,1],"order":[[[],[],[]]],"rows":[[1]]}',
         '{"n":2,"r":2,"m":[2,2],"order":[[[1],[]]],"rows":[[1]]}',
         '{"n":2,"r":2,"m":[1,2],"order":[[[1,1],[]]],"rows":[[1]]}',
+        # Caps above the ceiling, refused before anything is allocated.
+        '{"n":2,"r":2,"m":[99999999999999999999,2],"order":[[[2],[]]],"rows":[[1]]}',
+        '{"n":1,"r":1,"m":[10001],"order":[[[1]]],"rows":[[1]]}',
     )
     bad = tmp_path / "bad.json"
     for text in matrices:
@@ -57,6 +60,56 @@ def test_malformed_shape_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "conjecture-scan", "--n-max", "-1", "--r", "2")
     assert code == 2
     assert "error" in err
+
+
+def assert_one_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "m", ["99999999999999999999,2", "", " 2,2", "+2,2", "1_0,2", "\uff12,2", "10001,2"]
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("beta-matrix", "--n", "2", "--r", "2"),
+        ("character", "--lambda", "[[1],[1]]"),
+        ("crystal-graph", "--lambda", "[[1],[1]]"),
+    ],
+    ids=["beta-matrix", "character", "crystal-graph"],
+)
+def test_bad_m_exits_2(argv, m, capsys):
+    # --m is exactly [0-9]+(,[0-9]+)* with every cap at most MAX_CAP.
+    assert_one_error(*run(capsys, *argv, "--m", m))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("factorize", "--Dbar", ""),
+        ("factorize", "--Dbar", "{identity}", "--B", ""),
+        ("factorize", "--Dbar", "{identity}", "--D", ""),
+        ("factorize", "--Dbar", "{identity}", "--D", "{identity}", "--X", ""),
+        ("crystal-graph", "--lambda", "[[1],[]]", "--inner", ""),
+        ("beta", "--lambda", "[[1]]", "--mu", "[[1]]", "--out", ""),
+        ("beta", "--lambda", "[[1]]", "--mu", "[[1]]", "--cache-dir", ""),
+    ],
+    ids=["Dbar", "B", "D", "X", "inner", "out", "cache-dir"],
+)
+def test_empty_option_value_exits_2(argv, tmp_path, capsys):
+    identity = tmp_path / "identity.json"
+    identity.write_text('{"n":1,"r":1,"m":[1],"order":[[[1]]],"rows":[[1]]}')
+    argv = [a.format(identity=identity) for a in argv]
+    assert_one_error(*run(capsys, *argv))
+
+
+def test_empty_cache_env_means_unset(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("WEYLCHAR_CACHE", "")
+    assert run(capsys, "beta", "--lambda", "[[1]]", "--mu", "[[1]]") == (0, "1\n", "")
+    assert not any(tmp_path.iterdir())
 
 
 def test_size_mismatch_exits_2(capsys):

@@ -197,6 +197,7 @@ def test_skew_cells_examples():
     assert s.cells() == (Cell(0, 0, 1), Cell(0, 0, 0))
     assert SkewShape(mp([[1], []]), mp([[1], []])).cells() == ()
     assert SkewShape(mp([[2], []]), mp([[1], []])).cells() == (Cell(0, 1, 0),)
+    assert all(type(part) is tuple for part in s.neighbours())
     with pytest.raises(InputError):
         SkewShape(mp([[1], []]), mp([[2], []]))
 

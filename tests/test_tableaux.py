@@ -185,6 +185,33 @@ def test_equivalence_singleton_and_two_cell_class():
     assert len(equivalence_classes(ts)) == 1  # all cells carry component-2 entries
 
 
+def test_equivalence_key_matches_component_cell_sets():
+    # The key reads no cells; within one shape it must still separate
+    # fillings exactly as the sets of cells carrying each component do.
+    shapes = [
+        SkewShape(la)
+        for r in (1, 2)
+        for n in range(4)
+        for la in multipartitions(n, ShapeBound.for_size(n, r))
+    ]
+    shapes.append(SkewShape(mp([[2, 1], [1]]), mp([[1], []])))
+    for shape in shapes:
+        n = shape.n_cells
+        bound = ShapeBound.for_size(n, shape.r)
+        ts = list(enumerate_all_tableaux(shape, bound))
+        cell_sets = [
+            tuple(
+                frozenset(cell for cell, e in zip(shape.cells(), t.entries) if e.c == c)
+                for c in range(shape.r)
+            )
+            for t in ts
+        ]
+        keys = [equivalence_key(t) for t in ts]
+        for x in range(len(ts)):
+            for y in range(len(ts)):
+                assert (keys[x] == keys[y]) == (cell_sets[x] == cell_sets[y])
+
+
 def test_equivalence_rejects_mixed_shapes():
     b = ShapeBound.for_size(1, 2)
     t1 = superstandard(mp([[1], []]), b)
