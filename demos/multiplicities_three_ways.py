@@ -29,10 +29,10 @@ for la in multipartitions(n, bound):
 la = MultiPartition([[2], [1]])
 print(f"\nMultiplicity row of {la}:")
 print(f"{'weight':>22}  singular  chain  solve")
-solve_row = multiplicity_row_by_solve(la, bound)
+solve_row = multiplicity_row_by_solve(la)
 for mu in multipartitions(n, bound):
-    s = multiplicity_by_singular(la, mu, bound)
-    c = multiplicity_by_chains(la, mu, bound)
+    s = multiplicity_by_singular(la, mu)
+    c = multiplicity_by_chains(la, mu)
     v = solve_row[mu]
     assert s == c == v
     print(f"{str(mu):>22}  {s:>8}  {c:>5}  {v:>5}")

@@ -14,7 +14,8 @@ All arithmetic is exact integer arithmetic.
 
 import warnings
 from functools import cache
-from typing import Iterator, Optional
+from itertools import product as iproduct
+from typing import Iterator
 
 from .errors import ConsistencyError, InputError
 from .crystal import is_singular
@@ -60,7 +61,7 @@ def _kostka(shape: tuple, weight: tuple) -> int:
 def _interlacing(shape: tuple, removed: int) -> Iterator[tuple]:
     """Sub-shapes eta with shape/eta a horizontal strip of the given size."""
 
-    def rec(i: int, left: int, prev_cap: int, acc: tuple) -> Iterator[tuple]:
+    def rec(i: int, left: int, acc: tuple) -> Iterator[tuple]:
         if i == len(shape):
             if left == 0:
                 eta = acc
@@ -69,16 +70,14 @@ def _interlacing(shape: tuple, removed: int) -> Iterator[tuple]:
                 yield eta
             return
         below = shape[i + 1] if i + 1 < len(shape) else 0
-        hi = min(shape[i], prev_cap)
-        lo = below
-        # eta_i ranges over [lo, hi]; it removes shape[i] - eta_i cells.
-        for eta_i in range(hi, lo - 1, -1):
+        # eta_i ranges over [below, shape[i]]; it removes shape[i] - eta_i cells.
+        for eta_i in range(shape[i], below - 1, -1):
             used = shape[i] - eta_i
             if used > left:
                 continue
-            yield from rec(i + 1, left - used, eta_i, acc + (eta_i,))
+            yield from rec(i + 1, left - used, acc + (eta_i,))
 
-    return rec(0, removed, shape[0] if shape else 0, ())
+    return rec(0, removed, ())
 
 
 def kostka(shape, weight) -> int:
@@ -186,36 +185,33 @@ def skew_singular_count(shape: SkewShape, comp: int, weight_row: tuple) -> int:
     return _lattice_count(right, above, weight_row)
 
 
-def _prepare(la: MultiPartition, mu: MultiPartition, bound: Optional[ShapeBound]):
-    if bound is None:
-        bound = ShapeBound.for_size(la.size, la.r)
-    if la.r != mu.r or la.r != bound.r:
+def _prepare(la: MultiPartition, mu: MultiPartition) -> None:
+    """The checks every route shares. No route takes a bound: a multiplicity
+    is the same under every bound of the stable regime m_k >= n, the only
+    regime the engine accepts."""
+    if la.r != mu.r:
         raise InputError("component counts disagree")
     if la.size != mu.size:
         raise InputError(f"sizes disagree: {la.size} vs {mu.size}")
-    bound.require_stable(la.size)
-    return bound
 
 
 @cache
-def _singular_value(la: MultiPartition, mu: MultiPartition, bound: ShapeBound) -> int:
-    weight = as_composition(mu, bound)
+def _singular_value(la: MultiPartition, mu: MultiPartition) -> int:
+    weight = as_composition(mu, ShapeBound.for_size(la.size, la.r))
     return sum(
         1 for t in enumerate_tableaux(SkewShape(la), weight) if is_singular(t)
     )
 
 
-def multiplicity_by_singular(
-    la: MultiPartition, mu: MultiPartition, bound: ShapeBound = None
-) -> int:
+def multiplicity_by_singular(la: MultiPartition, mu: MultiPartition) -> int:
     """Count singular semistandard fillings of shape la with weight mu."""
-    bound = _prepare(la, mu, bound)
-    return _singular_value(la, mu, bound)
+    _prepare(la, mu)
+    return _singular_value(la, mu)
 
 
 @cache
 def _subpartitions(p: Partition) -> tuple:
-    """All partitions contained in p, grouped into nothing, plain tuple."""
+    """All partitions contained in p, in descending lexicographic order."""
 
     def rec(i: int, cap: int) -> Iterator[tuple]:
         if i == len(p.parts):
@@ -255,19 +251,11 @@ def layer_chains(la: MultiPartition, mu: MultiPartition) -> Iterator[tuple]:
         if target < 0:
             return
         pools = [_subpartitions(current.component(j)) for j in range(k - 1)]
-
-        def choose(j: int, left: int, acc: tuple):
-            if j == k - 1:
-                if left == 0:
-                    prev = MultiPartition(acc + (EMPTY,) * (r - k + 1))
-                    for chain_rest in rec(k - 1, prev):
-                        yield chain_rest + (current,)
-                return
-            for q in pools[j]:
-                if q.size <= left:
-                    yield from choose(j + 1, left - q.size, acc + (q,))
-
-        yield from choose(0, target, ())
+        for inner in iproduct(*pools):
+            if sum(q.size for q in inner) == target:
+                prev = MultiPartition(inner + (EMPTY,) * (r - k + 1))
+                for chain_rest in rec(k - 1, prev):
+                    yield chain_rest + (current,)
 
     # levels[r] = la itself; its components past r are vacuously empty.
     yield from rec(r, la)
@@ -275,6 +263,7 @@ def layer_chains(la: MultiPartition, mu: MultiPartition) -> Iterator[tuple]:
 
 @cache
 def _chain_value(la: MultiPartition, mu: MultiPartition) -> int:
+    ShapeBound.for_size(la.size, la.r)  # refuses a size or r above MAX_CAP
     total = 0
     for levels in layer_chains(la, mu):
         product = 1
@@ -287,16 +276,15 @@ def _chain_value(la: MultiPartition, mu: MultiPartition) -> int:
     return total
 
 
-def multiplicity_by_chains(
-    la: MultiPartition, mu: MultiPartition, bound: ShapeBound = None
-) -> int:
+def multiplicity_by_chains(la: MultiPartition, mu: MultiPartition) -> int:
     """Sum over layer slicings of products of singular skew counts."""
-    _prepare(la, mu, bound)
+    _prepare(la, mu)
     return _chain_value(la, mu)
 
 
 @cache
-def _solve_row(la: MultiPartition, bound: ShapeBound) -> dict:
+def _solve_row(la: MultiPartition) -> dict:
+    bound = ShapeBound.for_size(la.size, la.r)
     order = multipartitions(la.size, bound)
     row: dict = {}
     for mu in order:
@@ -315,26 +303,19 @@ def _solve_row(la: MultiPartition, bound: ShapeBound) -> dict:
     return row
 
 
-def multiplicity_row_by_solve(la: MultiPartition, bound: ShapeBound = None) -> dict:
+def multiplicity_row_by_solve(la: MultiPartition) -> dict:
     """Whole multiplicity row of la via the Kostka linear system.
 
     Traverses weights in canonical order; each value is the tableau count
     minus the contributions of the earlier rows, using that the Kostka
     matrix is unitriangular along that order.
     """
-    if bound is None:
-        bound = ShapeBound.for_size(la.size, la.r)
-    bound.require_stable(la.size)
-    if not la.fits(bound):
-        raise InputError(f"{la} does not fit {bound}")
-    return dict(_solve_row(la, bound))
+    return dict(_solve_row(la))
 
 
-def multiplicity_by_solve(
-    la: MultiPartition, mu: MultiPartition, bound: ShapeBound = None
-) -> int:
-    bound = _prepare(la, mu, bound)
-    return _solve_row(la, bound)[mu]
+def multiplicity_by_solve(la: MultiPartition, mu: MultiPartition) -> int:
+    _prepare(la, mu)
+    return _solve_row(la)[mu]
 
 
 _DISPATCH = {
@@ -344,15 +325,13 @@ _DISPATCH = {
 }
 
 
-def multiplicity(
-    la: MultiPartition, mu: MultiPartition, bound: ShapeBound = None, method: str = "chain"
-) -> int:
+def multiplicity(la: MultiPartition, mu: MultiPartition, *, method: str = "chain") -> int:
     """Branching multiplicity of the weight mu summand inside shape la."""
     try:
         fn = _DISPATCH[method]
     except KeyError:
         raise InputError(f"unknown method {method!r}; pick from {METHODS}")
-    return fn(la, mu, bound)
+    return fn(la, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +409,7 @@ def multiplicity_matrix(
     bound.require_stable(n)
     order = multipartitions(n, bound)
     rows = [
-        [multiplicity(la, mu, bound, method=method) for mu in order] for la in order
+        [multiplicity(la, mu, method=method) for mu in order] for la in order
     ]
     mat = IndexedMatrix(n, bound, order, rows)
     if not mat.is_unitriangular():
@@ -473,25 +452,21 @@ def matrix_product(a: IndexedMatrix, b: IndexedMatrix) -> IndexedMatrix:
 
 
 def grouping_factorization_check(
-    la: MultiPartition, mu: MultiPartition, grouping: Grouping, bound: ShapeBound = None
+    la: MultiPartition, mu: MultiPartition, grouping: Grouping
 ) -> tuple:
     """Compare the full multiplicity with the product over component groups.
 
     Requires equal grouped size vectors; returns (equal, full value, product
     of group values), each group evaluated in its own smaller engine.
     """
-    if bound is None:
-        bound = ShapeBound.for_size(la.size, la.r)
     las = split_components(la, grouping)
     mus = split_components(mu, grouping)
     if tuple(x.size for x in las) != tuple(x.size for x in mus):
         raise InputError("grouped size vectors disagree")
-    full = multiplicity(la, mu, bound, method="chain")
+    full = multiplicity(la, mu, method="chain")
     product = 1
-    for sub_la, sub_mu, off in zip(las, mus, grouping.offsets()):
-        sub_bound = ShapeBound(bound.m[off : off + sub_la.r])
-        sub_bound.require_stable(sub_la.size)
-        product *= multiplicity(sub_la, sub_mu, sub_bound, method="chain")
+    for sub_la, sub_mu in zip(las, mus):
+        product *= multiplicity(sub_la, sub_mu, method="chain")
         if not product:
             break
     return (full == product, full, product)

@@ -338,6 +338,7 @@ def _bounded_partitions(n: int, max_part: int, max_rows: int) -> tuple:
     return tuple(out)
 
 
+@cache
 def partitions_of(n: int, max_rows: int = None) -> tuple:
     """All partitions of n (optionally with a row cap) as Partition values."""
     cap = n if max_rows is None else min(max_rows, n)
@@ -345,12 +346,20 @@ def partitions_of(n: int, max_rows: int = None) -> tuple:
 
 
 def _compositions(n: int, parts: int) -> Iterator[tuple]:
-    if parts == 1:
-        yield (n,)
-        return
-    for first in range(n, -1, -1):
-        for rest in _compositions(n - first, parts - 1):
-            yield (first,) + rest
+    """Weak compositions in descending lexicographic order, without recursion:
+    each step moves one unit from the last nonzero part before the end one
+    place right and gathers the last part behind it."""
+    c = [n] + [0] * (parts - 1)
+    while True:
+        yield tuple(c)
+        i = parts - 2
+        while i >= 0 and not c[i]:
+            i -= 1
+        if i < 0:
+            return
+        last, c[-1] = c[-1], 0
+        c[i] -= 1
+        c[i + 1] = last + 1
 
 
 def compositions_of(n: int, parts: int) -> Iterator[tuple]:
@@ -360,18 +369,18 @@ def compositions_of(n: int, parts: int) -> Iterator[tuple]:
     return _compositions(n, parts)
 
 
-def canonical_key(la: MultiPartition, bound: ShapeBound) -> tuple:
+def canonical_key(la: MultiPartition) -> tuple:
     """Sort key for the canonical total order on multipartitions of fixed size.
 
     Primary: component-size vector, descending lexicographic (a linear
-    extension of the prefix order on size vectors). Secondary: concatenated
-    padded coordinates, descending lexicographic. Strict dominance always
-    sorts earlier, so multiplicity matrices indexed this way are
-    unitriangular.
+    extension of the prefix order on size vectors). Secondary: the parts of
+    each component in turn, descending lexicographic; no padding is needed,
+    since two partitions of one size are never a proper prefix of each
+    other. Strict dominance always sorts earlier, so multiplicity matrices
+    indexed this way are unitriangular.
     """
-    sizes = component_sizes(la)
-    concat = la.padded(bound)
-    return tuple(-s for s in sizes) + tuple(-x for x in concat)
+    comps = la.components
+    return tuple(-c.size for c in comps) + tuple(-x for c in comps for x in c.parts)
 
 
 @cache
@@ -379,33 +388,25 @@ def multipartitions(n: int, bound: ShapeBound) -> tuple:
     """All r-multipartitions of n fitting the bound, in canonical order."""
     if n < 0:
         raise InputError("n must be nonnegative")
-    bound.require_stable(n)
-    out = []
-    for sizes in compositions_of(n, bound.r):
-        pools = [
-            _bounded_partitions(nk, nk, min(mk, nk)) for nk, mk in zip(sizes, bound.m)
-        ]
-        out.extend(MultiPartition(combo) for combo in product(*pools))
-    out.sort(key=lambda mp: canonical_key(mp, bound))
+    bound.require_stable(n)  # so every partition of n_k fits the cap m_k
+    out = [
+        MultiPartition(combo)
+        for sizes in compositions_of(n, bound.r)
+        for combo in product(*map(partitions_of, sizes))
+    ]
+    out.sort(key=canonical_key)
     return tuple(out)
 
 
 @cache
 def multicompositions(n: int, bound: ShapeBound) -> tuple:
-    """All multicompositions of n with row lengths m_k, in a fixed order."""
-    r = bound.r
-
-    def rec(k, remaining):
-        if k == r:
-            if remaining == 0:
-                yield ()
-            return
-        for sz in range(remaining, -1, -1):
-            for row in _compositions(sz, bound.m[k]):
-                for rest in rec(k + 1, remaining - sz):
-                    yield (row,) + rest
-
-    return tuple(MultiComposition(rows) for rows in rec(0, n))
+    """All multicompositions of n with row lengths m_k, in a fixed order:
+    size vectors in descending lexicographic order, then the rows of each."""
+    return tuple(
+        MultiComposition(rows)
+        for sizes in _compositions(n, bound.r)
+        for rows in product(*map(_compositions, sizes, bound.m))
+    )
 
 
 # Shared by every caller, hence all tuples. One entry suffices: the fillings

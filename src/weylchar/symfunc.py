@@ -48,8 +48,7 @@ class SchurExpansion(Frozen):
         return self.terms.get(mp, 0)
 
     def canonical_items(self) -> list:
-        bound = ShapeBound.for_size(self.degree, self.r)
-        return sorted(self.terms.items(), key=lambda kv: canonical_key(kv[0], bound))
+        return sorted(self.terms.items(), key=lambda kv: canonical_key(kv[0]))
 
     def __eq__(self, other) -> bool:
         return (
@@ -127,17 +126,15 @@ def schur_to_monomials(la: MultiPartition, bound: ShapeBound) -> MonomialPoly:
     return MonomialPoly(bound, la.size, terms)
 
 
-def weyl_schur(la: MultiPartition, bound: ShapeBound = None) -> SchurExpansion:
+def weyl_schur(la: MultiPartition) -> SchurExpansion:
     """The Weyl-module character written in the Schur-product basis.
 
     Its coefficients form the multiplicity row of la, so the expansion is
     unitriangular against the Schur basis.
     """
-    if bound is None:
-        bound = ShapeBound.for_size(la.size, la.r)
     terms = {
-        mu: multiplicity(la, mu, bound, method="chain")
-        for mu in multipartitions(la.size, bound)
+        mu: multiplicity(la, mu, method="chain")
+        for mu in multipartitions(la.size, ShapeBound.for_size(la.size, la.r))
     }
     return SchurExpansion(la.r, la.size, terms)
 
@@ -151,7 +148,8 @@ def character(la: MultiPartition, bound: ShapeBound = None) -> MonomialPoly:
     """
     if bound is None:
         bound = ShapeBound.for_size(la.size, la.r)
-    expansion = weyl_schur(la, bound)
+    bound.require_stable(la.size)
+    expansion = weyl_schur(la)
     terms: dict = {}
     for mu, b in expansion.terms.items():
         for mc, c in schur_to_monomials(mu, bound).terms.items():

@@ -1,3 +1,4 @@
+import inspect
 import random
 
 import pytest
@@ -26,13 +27,16 @@ from weylchar import (
     multiplicity,
     multiplicity_by_chains,
     multiplicity_by_singular,
+    multiplicity_by_solve,
     multiplicity_matrix,
     multiplicity_row_by_solve,
     multipartitions,
     partitions_of,
     skew_singular_count,
+    weyl_schur,
 )
 from weylchar.branching import IndexedMatrix
+from weylchar.shapes import canonical_key
 
 from oracles import brute_lr, brute_ssyt_count
 
@@ -178,18 +182,18 @@ def test_multiplicity_diagonal_one():
     for n in range(0, 5):
         b = ShapeBound.for_size(n, 2)
         for la in multipartitions(n, b):
-            assert multiplicity(la, la, b) == 1
+            assert multiplicity(la, la) == 1
 
 
 def test_multiplicity_row_shape_row():
     b = ShapeBound.for_size(2, 2)
     la = mp([[2], []])
     hits = {
-        mu for mu in multipartitions(2, b) if multiplicity(la, mu, b) == 1
+        mu for mu in multipartitions(2, b) if multiplicity(la, mu) == 1
     }
     assert hits == {mp([[2], []]), mp([[1], [1]]), mp([[], [2]])}
     assert all(
-        multiplicity(la, mu, b) in (0, 1) for mu in multipartitions(2, b)
+        multiplicity(la, mu) in (0, 1) for mu in multipartitions(2, b)
     )
 
 
@@ -206,10 +210,10 @@ def test_three_routes_agree_small():
         b = ShapeBound.for_size(n, 2)
         mps = multipartitions(n, b)
         for la in mps:
-            row = multiplicity_row_by_solve(la, b)
+            row = multiplicity_row_by_solve(la)
             for mu in mps:
-                s = multiplicity_by_singular(la, mu, b)
-                c = multiplicity_by_chains(la, mu, b)
+                s = multiplicity_by_singular(la, mu)
+                c = multiplicity_by_chains(la, mu)
                 assert s == c == row[mu], (la, mu)
 
 
@@ -222,7 +226,7 @@ def test_solve_row_r1_is_indicator():
     for n in range(1, 6):
         b = ShapeBound.for_size(n, 1)
         for la in multipartitions(n, b):
-            row = multiplicity_row_by_solve(la, b)
+            row = multiplicity_row_by_solve(la)
             assert row[la] == 1
             assert all(v == 0 for mu, v in row.items() if mu != la)
 
@@ -231,10 +235,10 @@ def test_solve_row_is_a_copy():
     # Editing a returned row must not reach the memo behind the solve route.
     la = mp([[1], [1]])
     b = ShapeBound.for_size(2, 2)
-    row = multiplicity_row_by_solve(la, b)
+    row = multiplicity_row_by_solve(la)
     row[la] = 99
-    assert multiplicity(la, la, b, method="solve") == 1
-    assert multiplicity_row_by_solve(la, b)[la] == 1
+    assert multiplicity(la, la, method="solve") == 1
+    assert multiplicity_row_by_solve(la)[la] == 1
 
 
 def test_unitriangularity_properties():
@@ -243,11 +247,45 @@ def test_unitriangularity_properties():
         mps = multipartitions(n, b)
         for la in mps:
             for mu in mps:
-                v = multiplicity(la, mu, b)
+                v = multiplicity(la, mu)
                 if v:
                     assert dominates(la, mu, b)
                 if la != mu and component_sizes(la) == component_sizes(mu):
                     assert v == 0
+
+
+def test_matrices_are_the_same_under_every_stable_bound():
+    # Why no multiplicity takes a bound: in the stable regime m_k >= n the
+    # caps change neither the index order nor any entry, on any route.
+    for r, n_max in ((1, 5), (2, 4), (3, 3)):
+        for n in range(n_max + 1):
+            bounds = (
+                ShapeBound.for_size(n, r),
+                ShapeBound((n + 1,) * r),
+                ShapeBound((max(n, 1),) + (n + 1,) * (r - 1)),
+            )
+            for method in ("singular", "chain", "solve"):
+                mats = [multiplicity_matrix(n, b, method=method) for b in bounds]
+                assert len({m.order for m in mats}) == 1, (n, r, method)
+                assert len({m.rows for m in mats}) == 1, (n, r, method)
+
+
+def test_multiplicity_layer_takes_no_bound():
+    for fn in (
+        multiplicity,
+        multiplicity_by_singular,
+        multiplicity_by_chains,
+        multiplicity_by_solve,
+        multiplicity_row_by_solve,
+        weyl_schur,
+        grouping_factorization_check,
+        canonical_key,
+    ):
+        assert "bound" not in inspect.signature(fn).parameters, fn.__name__
+    # A stale positional bound is refused, never read as a method name.
+    la = mp([[1], []])
+    with pytest.raises(TypeError):
+        multiplicity(la, la, ShapeBound((1, 1)))
 
 
 def test_matrix_n2_r2():
@@ -299,9 +337,8 @@ def test_zero_size_matrix():
 
 
 def test_grouping_factorization_examples():
-    b3 = ShapeBound.for_size(3, 3)
     la = mp([[1], [1], [1]])
-    ok, full, prod = grouping_factorization_check(la, la, Grouping([3]), b3)
+    ok, full, prod = grouping_factorization_check(la, la, Grouping([3]))
     assert ok and full == prod == 1
 
     for n in range(0, 5):
@@ -312,7 +349,7 @@ def test_grouping_factorization_examples():
                 for mu in mps:
                     if group_sizes(la, p) != group_sizes(mu, p):
                         continue
-                    ok, full, prod = grouping_factorization_check(la, mu, p, b)
+                    ok, full, prod = grouping_factorization_check(la, mu, p)
                     assert ok, (la, mu, p, full, prod)
 
 
@@ -404,7 +441,7 @@ def test_dimension_identity_small():
                 for nu in mps:
                     if component_sizes(nu) != component_sizes(mu):
                         continue  # some Kostka factor vanishes
-                    v = multiplicity(la, nu, b)
+                    v = multiplicity(la, nu)
                     if not v:
                         continue
                     prod = 1

@@ -339,6 +339,24 @@ def test_deep_input_exits_2(capsys):
     assert out == "" and err.startswith("error:") and "Traceback" not in err
 
 
+def test_many_components_agree(capsys):
+    # The chain route nests once per component, not once per pair of them.
+    shape = json.dumps([[1]] + [[]] * 59)
+    code, out, _ = run(capsys, "beta", "--lambda", shape, "--mu", shape, "--method", "all")
+    assert code == 0
+    assert '"agree":true' in out
+
+
+@pytest.mark.parametrize("method", ["singular", "chain", "solve"])
+def test_size_above_max_cap_exits_2(method, capsys):
+    # Every route refuses a size above MAX_CAP before it starts.
+    code, out, err = run(
+        capsys, "beta", "--lambda", "[[10001]]", "--mu", "[[10001]]", "--method", method
+    )
+    assert code == 2
+    assert out == "" and "above 10000" in err
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -410,8 +428,8 @@ def test_consistency_exit_code(monkeypatch, capsys):
 
     real = branching.multiplicity
 
-    def lying(la, mu, bound=None, method="chain"):
-        value = real(la, mu, bound, method=method)
+    def lying(la, mu, *, method="chain"):
+        value = real(la, mu, method=method)
         return value + 1 if method == "solve" else value
 
     monkeypatch.setattr(branching, "multiplicity", lying)

@@ -1,4 +1,5 @@
 import json
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -30,7 +31,7 @@ from weylchar import (
     superstandard,
 )
 from weylchar.serialize import multipartition_from_obj, multipartition_to_obj
-from weylchar.shapes import Frozen
+from weylchar.shapes import Frozen, compositions_of
 
 from oracles import brute_multipartition_count
 
@@ -132,6 +133,22 @@ def test_enumeration_matches_counter_and_is_duplicate_free():
         assert len(mps) == brute_multipartition_count(n, b.m)
 
 
+def test_multipartitions_of_many_components():
+    # Nothing recurses once per component: 1,500 components is past the
+    # interpreter's default recursion limit of 1,000.
+    assert len(multipartitions(1, ShapeBound.for_size(1, 1500))) == 1500
+
+
+def test_compositions_descending_lexicographic():
+    for parts in range(1, 5):
+        for n in range(6):
+            brute = sorted(
+                (c for c in product(range(n + 1), repeat=parts) if sum(c) == n),
+                reverse=True,
+            )
+            assert list(compositions_of(n, parts)) == brute, (n, parts)
+
+
 def test_canonical_order_extends_dominance():
     for n, r in ((5, 2), (4, 3)):
         b = ShapeBound.for_size(n, r)
@@ -216,7 +233,7 @@ def test_multipartition_json_roundtrip():
 def test_canonical_key_deterministic():
     b = ShapeBound((2, 2))
     mps = multipartitions(2, b)
-    keys = [canonical_key(x, b) for x in mps]
+    keys = [canonical_key(x) for x in mps]
     assert keys == sorted(keys)
 
 
