@@ -211,20 +211,16 @@ def multiplicity_by_singular(la: MultiPartition, mu: MultiPartition) -> int:
 
 @cache
 def _subpartitions(p: Partition) -> tuple:
-    """All partitions contained in p, in descending lexicographic order."""
+    """All partitions contained in p, in descending lexicographic order.
 
-    def rec(i: int, cap: int) -> Iterator[tuple]:
-        if i == len(p.parts):
-            yield ()
-            return
-        for v in range(min(cap, p.parts[i]), -1, -1):
-            if v == 0:
-                yield ()
-                return
-            for rest in rec(i + 1, v):
-                yield (v,) + rest
-
-    return tuple(Partition(q) for q in rec(0, p.parts[0] if p.parts else 0))
+    Built from the last row up: each row prefixes a value v to every shape
+    of the rows below whose first row is at most v, then adds the empty one.
+    """
+    subs = [()]
+    for cap in reversed(p.parts):
+        subs = [(v,) + q for v in range(cap, 0, -1) for q in subs if not q or q[0] <= v]
+        subs.append(())
+    return tuple(map(Partition, subs))
 
 
 def layer_chains(la: MultiPartition, mu: MultiPartition) -> Iterator[tuple]:
@@ -233,32 +229,28 @@ def layer_chains(la: MultiPartition, mu: MultiPartition) -> Iterator[tuple]:
     Yields tuples (levels[0], ..., levels[r]) of multipartitions: levels[r]
     is la, levels[0] is empty, level k has empty components past k, and the
     layer between consecutive levels has exactly the size of component k of
-    mu.
+    mu. The chains are built level by level from la down, each partial chain
+    extended in list order, so they come in lexicographic order of their
+    levels from levels[r-1] down.
     """
-    if la.r != mu.r:
-        raise InputError("component counts disagree")
-    if la.size != mu.size:
-        raise InputError(f"sizes disagree: {la.size} vs {mu.size}")
+    _prepare(la, mu)
     r = la.r
     sizes = [c.size for c in mu.components]
-
-    def rec(k: int, current: MultiPartition) -> Iterator[tuple]:
-        # current plays levels[k]; all its components past k are empty.
-        if k == 0:
-            yield (current,)
-            return
-        target = current.size - sizes[k - 1]
-        if target < 0:
-            return
-        pools = [_subpartitions(current.component(j)) for j in range(k - 1)]
-        for inner in iproduct(*pools):
-            if sum(q.size for q in inner) == target:
-                prev = MultiPartition(inner + (EMPTY,) * (r - k + 1))
-                for chain_rest in rec(k - 1, prev):
-                    yield chain_rest + (current,)
-
-    # levels[r] = la itself; its components past r are vacuously empty.
-    yield from rec(r, la)
+    chains = [(la,)]
+    for k in range(r, 0, -1):
+        # chain[0] plays levels[k]; the new front is levels[k-1], whose
+        # components from k-1 on are empty.
+        pad = (EMPTY,) * (r - k + 1)
+        extended = []
+        for chain in chains:
+            current = chain[0]
+            target = current.size - sizes[k - 1]
+            pools = [_subpartitions(current.component(j)) for j in range(k - 1)]
+            for inner in iproduct(*pools):
+                if sum(q.size for q in inner) == target:
+                    extended.append((MultiPartition(inner + pad),) + chain)
+        chains = extended
+    return iter(chains)
 
 
 @cache

@@ -324,25 +324,22 @@ def cell_order_cmp(x: Cell, y: Cell) -> int:
 
 
 @cache
-def _bounded_partitions(n: int, max_part: int, max_rows: int) -> tuple:
-    """All partitions of n with parts <= max_part and at most max_rows rows,
-    in descending lexicographic order."""
+def _bounded_partitions(n: int, max_part: int) -> tuple:
+    """All partitions of n with parts <= max_part, in descending
+    lexicographic order."""
     if n == 0:
         return ((),)
-    if max_rows == 0 or max_part == 0:
-        return ()
-    out = []
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _bounded_partitions(n - first, first, max_rows - 1):
-            out.append((first,) + rest)
-    return tuple(out)
+    return tuple(
+        (first,) + rest
+        for first in range(min(n, max_part), 0, -1)
+        for rest in _bounded_partitions(n - first, first)
+    )
 
 
 @cache
-def partitions_of(n: int, max_rows: int = None) -> tuple:
-    """All partitions of n (optionally with a row cap) as Partition values."""
-    cap = n if max_rows is None else min(max_rows, n)
-    return tuple(Partition(p) for p in _bounded_partitions(n, n, cap))
+def partitions_of(n: int) -> tuple:
+    """All partitions of n as Partition values."""
+    return tuple(Partition(p) for p in _bounded_partitions(n, n))
 
 
 def _compositions(n: int, parts: int) -> Iterator[tuple]:

@@ -71,7 +71,7 @@ class MonomialPoly(Frozen):
     def __init__(self, bound: ShapeBound, degree: int, terms: dict):
         clean = {mc: int(c) for mc, c in terms.items() if c}
         for mc in clean:
-            if mc.size != degree or mc.bound != bound:
+            if mc.size != degree or tuple(map(len, mc.rows)) != bound.m:
                 raise InputError(f"monomial {mc} does not match degree/bound")
         object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "degree", degree)

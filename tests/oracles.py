@@ -198,3 +198,52 @@ def brute_lr(nu, la, mu):
 
     fill(0, {}, [])
     return total
+
+
+def brute_subdiagrams(parts):
+    """Every partition (as a tuple without zeros) whose diagram lies inside
+    the partition `parts`, by filtering all bounded row-length tuples."""
+    from itertools import product
+
+    out = []
+    for rows in product(*(range(p + 1) for p in parts)):
+        if all(a >= b for a, b in zip(rows, rows[1:])):
+            out.append(tuple(x for x in rows if x))
+    return out
+
+
+def brute_layer_chains(la, sizes):
+    """Every chain (levels[0], ..., levels[r]) of nested multipartitions with
+    levels[r] = la, levels[0] empty, level k empty in components k+1..r
+    (1-based), and the layer from level k-1 to level k of size sizes[k-1].
+
+    la is a list of r partitions given as lists; levels come back as tuples
+    of tuples. Candidates are every choice of sub-multipartitions of la for
+    the inner levels, filtered by the conditions above.
+    """
+    from itertools import product
+
+    r = len(la)
+    top = tuple(tuple(c) for c in la)
+    empty = ((),) * r
+    subs = list(product(*(brute_subdiagrams(c) for c in top)))
+
+    def inside(small, big):
+        return all(
+            len(s) <= len(b) and all(x <= y for x, y in zip(s, b))
+            for s, b in zip(small, big)
+        )
+
+    def size(level):
+        return sum(sum(c) for c in level)
+
+    out = set()
+    for middle in product(subs, repeat=r - 1):
+        levels = (empty,) + middle + (top,)
+        if any(any(levels[k][k:]) for k in range(r)):
+            continue
+        if not all(inside(levels[k - 1], levels[k]) for k in range(1, r + 1)):
+            continue
+        if all(size(levels[k]) - size(levels[k - 1]) == sizes[k - 1] for k in range(1, r + 1)):
+            out.add(levels)
+    return out

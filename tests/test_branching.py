@@ -1,5 +1,6 @@
 import inspect
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,10 +36,10 @@ from weylchar import (
     skew_singular_count,
     weyl_schur,
 )
-from weylchar.branching import IndexedMatrix
+from weylchar.branching import IndexedMatrix, _subpartitions
 from weylchar.shapes import canonical_key
 
-from oracles import brute_lr, brute_ssyt_count
+from oracles import brute_layer_chains, brute_lr, brute_ssyt_count, brute_subdiagrams
 
 
 def mp(rows):
@@ -176,6 +177,43 @@ def test_layer_chains_examples():
     assert chains[0][1] == mp([[], []])
 
     assert list(layer_chains(mp([[], [2]]), mp([[2], []]))) == []
+
+
+def test_layer_chains_match_brute_force():
+    # Every documented chain, and each one once.
+    for r in range(1, 4):
+        for n in range(5):
+            order = multipartitions(n, ShapeBound.for_size(n, r))
+            for la in order:
+                rows = [list(c.parts) for c in la.components]
+                for mu in order:
+                    got = [
+                        tuple(tuple(c.parts for c in level.components) for level in chain)
+                        for chain in layer_chains(la, mu)
+                    ]
+                    assert len(got) == len(set(got)), (la, mu)
+                    sizes = [c.size for c in mu.components]
+                    assert set(got) == brute_layer_chains(rows, sizes), (la, mu)
+
+
+def test_subpartitions_descending():
+    for n in range(9):
+        for p in partitions_of(n):
+            expected = sorted(brute_subdiagrams(p.parts), reverse=True)
+            assert [q.parts for q in _subpartitions(p)] == expected, p
+
+
+def test_chain_route_needs_no_stack_per_component():
+    # Enumerating chains takes no stack frame per component, so a shape with
+    # far more components than the spare stack still works.
+    la = mp([[1]] + [[]] * 199)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 60)
+    try:
+        assert len(list(layer_chains(la, la))) == 1
+        assert multiplicity(la, la, method="chain") == 1
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_multiplicity_diagonal_one():
