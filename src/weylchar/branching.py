@@ -28,6 +28,7 @@ from .shapes import (
     ShapeBound,
     SkewShape,
     as_composition,
+    ints,
     multipartitions,
     split_components,
 )
@@ -48,42 +49,23 @@ def _kostka(shape: tuple, weight: tuple) -> int:
         weight = weight[:-1]
     if not weight:
         return 1 if not shape else 0
-    strip = weight[-1]
-    rest = weight[:-1]
-    total = 0
     # Peel the cells holding the largest letter: a horizontal strip, so the
-    # leftover rows interlace the shape.
-    for eta in _interlacing(shape, strip):
-        total += _kostka(eta, rest)
-    return total
-
-
-def _interlacing(shape: tuple, removed: int) -> Iterator[tuple]:
-    """Sub-shapes eta with shape/eta a horizontal strip of the given size."""
-
-    def rec(i: int, left: int, acc: tuple) -> Iterator[tuple]:
-        if i == len(shape):
-            if left == 0:
-                eta = acc
-                while eta and eta[-1] == 0:
-                    eta = eta[:-1]
-                yield eta
-            return
-        below = shape[i + 1] if i + 1 < len(shape) else 0
-        # eta_i ranges over [below, shape[i]]; it removes shape[i] - eta_i cells.
-        for eta_i in range(shape[i], below - 1, -1):
-            used = shape[i] - eta_i
-            if used > left:
-                continue
-            yield from rec(i + 1, left - used, acc + (eta_i,))
-
-    return rec(0, removed, ())
+    # leftover rows eta interlace the shape (a missing row of eta reads 0).
+    size = sum(shape) - weight[-1]
+    return sum(
+        _kostka(eta.parts, weight[:-1])
+        for eta in _subpartitions(Partition(shape))
+        if eta.size == size
+        and all(eta.row(i) >= below for i, below in enumerate(shape[1:]))
+    )
 
 
 def kostka(shape, weight) -> int:
     """Number of semistandard fillings of a one-component shape and weight."""
-    sh = shape.parts if isinstance(shape, Partition) else tuple(shape)
-    wt = tuple(weight.parts) if isinstance(weight, Partition) else tuple(weight)
+    sh = (shape if isinstance(shape, Partition) else Partition(shape)).parts
+    wt = ints(weight)
+    if any(x < 0 for x in wt):
+        raise InputError(f"negative entry in weight {wt}")
     if sum(sh) != sum(wt):
         raise InputError(f"size mismatch: {sh} vs {wt}")
     return _kostka(sh, wt)
@@ -337,7 +319,7 @@ class IndexedMatrix(Frozen):
 
     def __init__(self, n: int, bound: ShapeBound, order, rows):
         order = tuple(order)
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        rows = tuple(map(ints, rows))
         if len(rows) != len(order) or any(len(r) != len(order) for r in rows):
             raise InputError("matrix is not square over its index")
         object.__setattr__(self, "n", n)

@@ -12,7 +12,14 @@ its prefixes has weakly decreasing letter counts.
 from typing import Iterator, NamedTuple, Optional
 
 from .errors import ConsistencyError, InputError
-from .shapes import Frozen, MultiComposition, MultiPartition, Partition, ShapeBound
+from .shapes import (
+    Frozen,
+    MultiComposition,
+    MultiPartition,
+    Partition,
+    ShapeBound,
+    ints,
+)
 from .tableaux import (
     Tableau,
     equivalence_classes,
@@ -27,7 +34,7 @@ class CrystalWord(Frozen):
     __slots__ = ("words", "bound")
 
     def __init__(self, words, bound: ShapeBound):
-        ws = tuple(tuple(int(a) for a in w) for w in words)
+        ws = tuple(map(ints, words))
         if len(ws) != bound.r:
             raise InputError("word count does not match component count")
         for w, mk in zip(ws, bound.m):

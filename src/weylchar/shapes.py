@@ -4,11 +4,21 @@ All indices (rows, columns, components, letters) are 0-based in memory; the
 serialization layer converts to the 1-based external format.
 """
 
+import operator
 from functools import cache, lru_cache
 from itertools import chain, product
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import InputError
+
+
+def ints(xs: Iterable) -> tuple:
+    """The entries of xs as a tuple of ints. A float, a string or any other
+    non-integer is refused, never truncated or converted; bools count as ints."""
+    try:
+        return tuple(map(operator.index, xs))
+    except TypeError as exc:
+        raise InputError(f"expected integers: {exc}") from None
 
 
 class Frozen:
@@ -34,7 +44,7 @@ class Partition(Frozen):
     __slots__ = ("parts", "size")
 
     def __init__(self, parts: Iterable[int] = ()):
-        ps = tuple(int(p) for p in parts)
+        ps = ints(parts)
         while ps and ps[-1] == 0:
             ps = ps[:-1]
         for a, b in zip(ps, ps[1:]):
@@ -85,7 +95,7 @@ class ShapeBound(Frozen):
     __slots__ = ("m",)
 
     def __init__(self, m: Iterable[int]):
-        mt = tuple(int(x) for x in m)
+        mt = ints(m)
         if not mt or any(x < 1 for x in mt):
             raise InputError(f"bound must be positive in every component: {mt}")
         if any(x > MAX_CAP for x in mt):
@@ -184,7 +194,7 @@ class MultiComposition(Frozen):
     __slots__ = ("rows", "size")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        rs = tuple(tuple(int(x) for x in row) for row in rows)
+        rs = tuple(map(ints, rows))
         if not rs:
             raise InputError("need at least one component")
         if any(x < 0 for row in rs for x in row):
@@ -240,7 +250,7 @@ class Grouping(Frozen):
     __slots__ = ("sizes",)
 
     def __init__(self, sizes: Iterable[int]):
-        st = tuple(int(x) for x in sizes)
+        st = ints(sizes)
         if not st or any(x < 1 for x in st):
             raise InputError(f"group sizes must be positive: {st}")
         object.__setattr__(self, "sizes", st)

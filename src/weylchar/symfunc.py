@@ -11,6 +11,7 @@ from itertools import product as iproduct
 
 from .errors import InputError
 from .branching import (
+    _subpartitions,
     invert_unitriangular,
     kostka,
     lr_coeff,
@@ -25,6 +26,7 @@ from .shapes import (
     ShapeBound,
     canonical_key,
     compositions_of,
+    ints,
     multipartitions,
     partitions_of,
 )
@@ -36,7 +38,7 @@ class SchurExpansion(Frozen):
     __slots__ = ("r", "degree", "terms")
 
     def __init__(self, r: int, degree: int, terms: dict):
-        clean = {mp: int(c) for mp, c in terms.items() if c}
+        clean = {mp: c for mp, c in zip(terms, ints(terms.values())) if c}
         for mp in clean:
             if mp.r != r or mp.size != degree:
                 raise InputError(f"index {mp} not of degree {degree} with {r} components")
@@ -69,7 +71,7 @@ class MonomialPoly(Frozen):
     __slots__ = ("bound", "degree", "terms")
 
     def __init__(self, bound: ShapeBound, degree: int, terms: dict):
-        clean = {mc: int(c) for mc, c in terms.items() if c}
+        clean = {mc: c for mc, c in zip(terms, ints(terms.values())) if c}
         for mc in clean:
             if mc.size != degree or tuple(map(len, mc.rows)) != bound.m:
                 raise InputError(f"monomial {mc} does not match degree/bound")
@@ -242,17 +244,14 @@ def union_alphabet_schur(p, t: int, r: int) -> SchurExpansion:
         if k == r - 1:
             return {(q,): 1}
         out: dict = {}
-        for sz in range(q.size + 1):
-            for alpha in partitions_of(sz):
-                if not q.contains(alpha):
+        for alpha in _subpartitions(q):
+            for gamma in partitions_of(q.size - alpha.size):
+                c = lr_coeff(q, alpha, gamma)
+                if not c:
                     continue
-                for gamma in partitions_of(q.size - sz):
-                    c = lr_coeff(q, alpha, gamma)
-                    if not c:
-                        continue
-                    for rest, c2 in expand(gamma, k + 1).items():
-                        key = (alpha,) + rest
-                        out[key] = out.get(key, 0) + c * c2
+                for rest, c2 in expand(gamma, k + 1).items():
+                    key = (alpha,) + rest
+                    out[key] = out.get(key, 0) + c * c2
         return out
 
     terms = {

@@ -37,7 +37,7 @@ from weylchar import (
     weyl_schur,
 )
 from weylchar.branching import IndexedMatrix, _subpartitions
-from weylchar.shapes import canonical_key
+from weylchar.shapes import canonical_key, compositions_of
 
 from oracles import brute_layer_chains, brute_lr, brute_ssyt_count, brute_subdiagrams
 
@@ -56,15 +56,21 @@ def test_kostka_examples():
     assert brute_ssyt_count([2, 1], [1, 1, 1]) == 2
     with pytest.raises(InputError):
         kostka(Partition([2]), (1,))
+    # a shape that is not a partition, a negative or a non-integer weight
+    for shape, weight in (((1, 2), (2, 1)), ((2, -1), (1,)), ((2,), (3, -1)), ((1,), (1.0,))):
+        with pytest.raises(InputError):
+            kostka(shape, weight)
 
 
 def test_kostka_against_brute_force():
     for n in range(0, 6):
+        # partition weights, then weak compositions: zero strips and short etas
+        weights = list(partitions_of(n)) + [
+            w for parts in range(1, 5) for w in compositions_of(n, parts)
+        ]
         for la in partitions_of(n):
-            for mu in partitions_of(n):
-                assert kostka(la, mu) == brute_ssyt_count(
-                    list(la.parts), list(mu.parts)
-                )
+            for mu in weights:
+                assert kostka(la, mu) == brute_ssyt_count(list(la.parts), list(mu))
 
 
 def test_kostka_composition_weights():

@@ -1,5 +1,7 @@
-"""Every narrative script under demos/ runs to completion."""
+"""Every narrative script under demos/, and the benchmark's tracer, runs to
+completion on this source tree."""
 
+import json
 import os
 import subprocess
 import sys
@@ -13,17 +15,35 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = str(Path(weylchar.__file__).resolve().parents[1])
 
 
-@pytest.mark.parametrize(
-    "demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name
-)
-def test_demo_runs(demo):
+def _run(*argv):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(demo)],
+    return subprocess.run(
+        [sys.executable, *map(str, argv)],
         capture_output=True,
         text=True,
         timeout=120,
         env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+@pytest.mark.parametrize(
+    "demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name
+)
+def test_demo_runs(demo):
+    proc = _run(demo)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_bench_tracer_installs(tmp_path):
+    # The tracer rebinds memos and functions by name, so renaming one of them
+    # in src/ breaks every traced benchmark run; this catches it in seconds.
+    report = tmp_path / "r.json"
+    tracer = ROOT / "bench" / "trace_child.py"
+    proc = _run(tracer, report, "beta", "--lambda", "[[1],[]]", "--mu", "[[1],[]]")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\n"
+    memos = json.loads(report.read_text(encoding="utf-8"))["memos"]
+    assert {"branching._kostka", "branching._subpartitions"} <= set(memos)
+    for name, record in memos.items():
+        assert sorted(record) == ["entries", "hits", "misses"], name

@@ -275,6 +275,29 @@ def test_value_types_are_immutable(make, field):
         assert hash(obj) == before
 
 
+# Each constructor with one integer slot filled by x.
+INT_SLOTS = [
+    ("Partition", lambda x: Partition([x])),
+    ("ShapeBound", lambda x: ShapeBound([x])),
+    ("Grouping", lambda x: Grouping([x])),
+    ("MultiComposition", lambda x: MultiComposition([[x]])),
+    ("IndexedMatrix", lambda x: IndexedMatrix(1, _B, multipartitions(1, _B)[:1], [[x]])),
+    ("CrystalWord", lambda x: CrystalWord([[x], []], _B)),
+    ("SchurExpansion", lambda x: SchurExpansion(2, 1, {mp([[1], []]): x})),
+    ("MonomialPoly", lambda x: MonomialPoly(_B, 1, {MultiComposition([[1, 0], [0, 0]]): x})),
+]
+
+
+@pytest.mark.parametrize("x", [1.0, 1.7, "1"], ids=["float", "fraction", "string"])
+@pytest.mark.parametrize(
+    "make", [make for _, make in INT_SLOTS], ids=[name for name, _ in INT_SLOTS]
+)
+def test_value_types_refuse_non_integers(make, x):
+    make(1)
+    with pytest.raises(InputError, match="expected integers"):
+        make(x)
+
+
 def test_frozen_base_leaves_equality_to_subclasses():
     assert "__eq__" not in vars(Frozen) and "__hash__" not in vars(Frozen)
     for cls in (IndexedMatrix, MonomialPoly, SchurExpansion):
