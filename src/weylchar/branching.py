@@ -6,14 +6,17 @@ The three routes:
   * singular -- enumerate semistandard fillings of the straight shape and
     count those whose reading word passes the prefix-partition test;
   * chain    -- slice the shape into nested skew layers, one per component
-    of the weight, and multiply singular skew counts over each slicing;
+    of the weight, and multiply singular skew counts over each slicing; the
+    slicings depend on the weight's size vector only, so they are built once
+    per row block (shape, size vector) and every entry of the block reads
+    them;
   * solve    -- solve the unitriangular linear system that expresses tableau
     counts through Kostka numbers.
 All arithmetic is exact integer arithmetic.
 """
 
 import warnings
-from functools import cache
+from functools import cache, lru_cache
 from itertools import product as iproduct
 from typing import Iterator
 
@@ -205,19 +208,23 @@ def _subpartitions(p: Partition) -> tuple:
     return tuple(map(Partition, subs))
 
 
-def layer_chains(la: MultiPartition, mu: MultiPartition) -> Iterator[tuple]:
-    """All slicings of la into nested layers with component sizes from mu.
+def layer_chains(la: MultiPartition, sizes: tuple) -> Iterator[tuple]:
+    """All slicings of la into nested layers of the given sizes.
 
-    Yields tuples (levels[0], ..., levels[r]) of multipartitions: levels[r]
-    is la, levels[0] is empty, level k has empty components past k, and the
-    layer between consecutive levels has exactly the size of component k of
-    mu. The chains are built level by level from la down, each partial chain
-    extended in list order, so they come in lexicographic order of their
-    levels from levels[r-1] down.
+    sizes is the size vector of a weight mu. The slicings depend on nothing
+    else of mu, so one enumeration serves the whole row block of la with
+    that size vector. Yields tuples (levels[0], ..., levels[r]) of
+    multipartitions: levels[r] is la, levels[0] is empty, level k has empty
+    components past k, and the layer from levels[k] to levels[k+1] has
+    exactly sizes[k] cells. The chains are built level by level from la
+    down, each partial chain extended in list order, so they come in
+    lexicographic order of their levels from levels[r-1] down.
     """
-    _prepare(la, mu)
+    if len(sizes) != la.r:
+        raise InputError("component counts disagree")
+    if sum(sizes) != la.size:
+        raise InputError(f"sizes disagree: {la.size} vs {sum(sizes)}")
     r = la.r
-    sizes = [c.size for c in mu.components]
     chains = [(la,)]
     for k in range(r, 0, -1):
         # chain[0] plays levels[k]; the new front is levels[k-1], whose
@@ -235,15 +242,28 @@ def layer_chains(la: MultiPartition, mu: MultiPartition) -> Iterator[tuple]:
     return iter(chains)
 
 
+# One entry suffices: multipartitions sorts by size vector first, so every
+# reader of a row (multiplicity_matrix, weyl_schur, _basis_change) reads each
+# block in one run.
+@lru_cache(maxsize=1)
+def _chain_layers(la: MultiPartition, sizes: tuple) -> tuple:
+    """The row block of (la, sizes): per slicing, its skew layers from
+    component r-1 down to component 0."""
+    ShapeBound.for_size(la.size, la.r)  # refuses a size or r above MAX_CAP
+    return tuple(
+        tuple(SkewShape(levels[k], levels[k - 1]) for k in range(la.r, 0, -1))
+        for levels in layer_chains(la, sizes)
+    )
+
+
 @cache
 def _chain_value(la: MultiPartition, mu: MultiPartition) -> int:
-    ShapeBound.for_size(la.size, la.r)  # refuses a size or r above MAX_CAP
+    rows = [c.parts for c in mu.components]
     total = 0
-    for levels in layer_chains(la, mu):
+    for layers in _chain_layers(la, tuple(map(sum, rows))):
         product = 1
-        for k in range(la.r, 0, -1):
-            shape = SkewShape(levels[k], levels[k - 1])
-            product *= skew_singular_count(shape, k - 1, mu.component(k - 1).parts)
+        for k, shape in zip(range(la.r - 1, -1, -1), layers):
+            product *= skew_singular_count(shape, k, rows[k])
             if not product:
                 break
         total += product
@@ -351,12 +371,18 @@ class IndexedMatrix(Frozen):
             and self.order == other.order
         )
 
+    def unitriangular_fault(self):
+        """The first (row, column) position, in reading order, that breaks a
+        unit diagonal with zeros below it, or None."""
+        for i, row in enumerate(self.rows):
+            for j in range(i + 1):
+                if row[j] != (i == j):
+                    return i, j
+        return None
+
     def is_unitriangular(self) -> bool:
         """Unit diagonal and zeros below it, in the canonical order."""
-        for i, row in enumerate(self.rows):
-            if row[i] != 1 or any(row[j] for j in range(i)):
-                return False
-        return True
+        return self.unitriangular_fault() is None
 
     def __eq__(self, other) -> bool:
         return (
@@ -386,8 +412,13 @@ def multiplicity_matrix(
         [multiplicity(la, mu, method=method) for mu in order] for la in order
     ]
     mat = IndexedMatrix(n, bound, order, rows)
-    if not mat.is_unitriangular():
-        raise ConsistencyError("multiplicity matrix is not unitriangular: bug")
+    fault = mat.unitriangular_fault()
+    if fault is not None:
+        i, j = fault
+        raise ConsistencyError(
+            f"multiplicity matrix is not unitriangular: entry ({order[i]!r}, "
+            f"{order[j]!r}) is {rows[i][j]}, expected {int(i == j)}"
+        )
     return mat
 
 

@@ -36,7 +36,7 @@ from weylchar import (
     skew_singular_count,
     weyl_schur,
 )
-from weylchar.branching import IndexedMatrix, _subpartitions
+from weylchar.branching import IndexedMatrix, _chain_value, _subpartitions
 from weylchar.shapes import canonical_key, compositions_of
 
 from oracles import brute_layer_chains, brute_lr, brute_ssyt_count, brute_subdiagrams
@@ -174,15 +174,15 @@ def test_skew_singular_pruned_matches_filtered():
 
 def test_layer_chains_examples():
     la = mp([[1], [1]])
-    chains = list(layer_chains(la, mp([[1], [1]])))
+    chains = list(layer_chains(la, tuple(c.size for c in mp([[1], [1]]).components)))
     assert len(chains) == 1
     assert chains[0] == (mp([[], []]), mp([[1], []]), la)
 
-    chains = list(layer_chains(la, mp([[], [2]])))
+    chains = list(layer_chains(la, tuple(c.size for c in mp([[], [2]]).components)))
     assert len(chains) == 1
     assert chains[0][1] == mp([[], []])
 
-    assert list(layer_chains(mp([[], [2]]), mp([[2], []]))) == []
+    assert list(layer_chains(mp([[], [2]]), tuple(c.size for c in mp([[2], []]).components))) == []
 
 
 def test_layer_chains_match_brute_force():
@@ -195,7 +195,7 @@ def test_layer_chains_match_brute_force():
                 for mu in order:
                     got = [
                         tuple(tuple(c.parts for c in level.components) for level in chain)
-                        for chain in layer_chains(la, mu)
+                        for chain in layer_chains(la, tuple(c.size for c in mu.components))
                     ]
                     assert len(got) == len(set(got)), (la, mu)
                     sizes = [c.size for c in mu.components]
@@ -216,7 +216,7 @@ def test_chain_route_needs_no_stack_per_component():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 60)
     try:
-        assert len(list(layer_chains(la, la))) == 1
+        assert len(list(layer_chains(la, tuple(c.size for c in la.components)))) == 1
         assert multiplicity(la, la, method="chain") == 1
     finally:
         sys.setrecursionlimit(limit)
@@ -259,6 +259,26 @@ def test_three_routes_agree_small():
                 s = multiplicity_by_singular(la, mu)
                 c = multiplicity_by_chains(la, mu)
                 assert s == c == row[mu], (la, mu)
+
+
+def test_chain_blocks_in_shuffled_order():
+    # The chain route keeps the slicings of one (la, size vector) block at a
+    # time. Read in a shuffled order the blocks alternate, so a block served
+    # for the wrong size vector would show up as a wrong entry.
+    _chain_value.cache_clear()
+    pairs = [
+        (la, mu)
+        for r in range(1, 4)
+        for n in range(5)
+        for order in [multipartitions(n, ShapeBound.for_size(n, r))]
+        for la in order
+        for mu in order
+    ]
+    random.Random(10).shuffle(pairs)
+    for la, mu in pairs:
+        assert multiplicity(la, mu, method="chain") == multiplicity(
+            la, mu, method="singular"
+        ), (la, mu)
 
 
 def test_unknown_method():

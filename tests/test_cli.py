@@ -440,6 +440,28 @@ def test_consistency_exit_code(monkeypatch, capsys):
     assert json.loads(out)["agree"] is False
 
 
+def test_matrix_consistency_failure_names_the_entry(monkeypatch, capsys):
+    # A value below the diagonal breaks unitriangularity: exit 3, print
+    # nothing, and name the first offending entry.
+    from weylchar import ShapeBound, branching, multipartitions
+
+    real = branching.multiplicity
+    order = multipartitions(2, ShapeBound.for_size(2, 2))
+    pos = {mp: i for i, mp in enumerate(order)}
+
+    def lying(la, mu, *, method="chain"):
+        return 1 if pos[mu] < pos[la] else real(la, mu, method=method)
+
+    monkeypatch.setattr(branching, "multiplicity", lying)
+    monkeypatch.delenv("WEYLCHAR_CACHE", raising=False)
+    code, out, err = run(capsys, "beta-matrix", "--n", "2", "--r", "2")
+    assert code == 3
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith("consistency failure:")
+    assert repr(order[1]) in line and repr(order[0]) in line and "is 1" in line
+
+
 def test_stale_bound_rejected(capsys):
     code, _, err = run(capsys, "character", "--lambda", "[[2],[]]", "--m", "1,1")
     assert code == 2

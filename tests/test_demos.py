@@ -12,6 +12,7 @@ import pytest
 import weylchar
 
 ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 SRC = str(Path(weylchar.__file__).resolve().parents[1])
 
 
@@ -47,3 +48,33 @@ def test_bench_tracer_installs(tmp_path):
     assert {"branching._kostka", "branching._subpartitions"} <= set(memos)
     for name, record in memos.items():
         assert sorted(record) == ["entries", "hits", "misses"], name
+
+
+def import_bench():
+    # No bytecode cache either: the test writes nothing under bench/.
+    sys.path.insert(0, str(BENCH))
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        import run
+        import workloads
+    finally:
+        sys.path.remove(str(BENCH))
+        sys.dont_write_bytecode = dont_write
+    return run, workloads
+
+
+@pytest.mark.parametrize("workload", ["matrix", "scan"])
+def test_bench_trace_records_every_required_name(workload, tmp_path):
+    # A traced benchmark run fails when a name it requires records no calls,
+    # e.g. when a route stops calling a traced function through the module
+    # global the tracer rebinds. The tiny jobs show it in a couple of seconds.
+    run, workloads = import_bench()
+    calls: dict = {}
+    for i, job in enumerate(workloads.jobs(workload, 0, tiny=True)):
+        report = tmp_path / f"{i}.json"
+        cache_dir = tmp_path / f"cache-{i}"
+        proc = _run(BENCH / "trace_child.py", report, *job.argv, "--cache-dir", cache_dir)
+        assert proc.returncode == 0, proc.stderr
+        for name, record in json.loads(report.read_text(encoding="utf-8"))["funcs"].items():
+            calls[name] = calls.get(name, 0) + record["calls"]
+    assert [name for name in run.REQUIRED[workload] if not calls.get(name)] == []
