@@ -325,6 +325,9 @@ def main(argv=None) -> int:
     except RecursionError:
         print("error: input too large: recursion limit exceeded", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: input too large: out of memory", file=sys.stderr)
+        return 2
     except ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 3

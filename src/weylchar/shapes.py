@@ -26,7 +26,9 @@ class Frozen:
 
     Subclasses declare their __slots__ and store each field once in __init__
     through object.__setattr__; afterwards no field can be set or deleted.
-    Equality and hashing stay with each subclass.
+    Equality and hashing stay with each subclass; the hot memo keys
+    (Partition, MultiPartition, SkewShape) compute their hash once, in an
+    _h slot.
     """
 
     __slots__ = ()
@@ -41,7 +43,7 @@ class Frozen:
 class Partition(Frozen):
     """A weakly decreasing sequence of positive parts; trailing zeros are stripped."""
 
-    __slots__ = ("parts", "size")
+    __slots__ = ("parts", "size", "_h")
 
     def __init__(self, parts: Iterable[int] = ()):
         ps = ints(parts)
@@ -54,6 +56,7 @@ class Partition(Frozen):
             raise InputError(f"negative part in {ps}")
         object.__setattr__(self, "parts", ps)
         object.__setattr__(self, "size", sum(ps))
+        object.__setattr__(self, "_h", hash(ps))
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -76,7 +79,7 @@ class Partition(Frozen):
         return isinstance(other, Partition) and self.parts == other.parts
 
     def __hash__(self) -> int:
-        return hash(self.parts)
+        return self._h
 
     def __repr__(self) -> str:
         return f"Partition({list(self.parts)})"
@@ -131,7 +134,7 @@ class ShapeBound(Frozen):
 class MultiPartition(Frozen):
     """An r-tuple of partitions."""
 
-    __slots__ = ("components", "size")
+    __slots__ = ("components", "size", "_h")
 
     def __init__(self, components: Iterable):
         comps = tuple(
@@ -141,6 +144,7 @@ class MultiPartition(Frozen):
             raise InputError("need at least one component")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "size", sum(c.size for c in comps))
+        object.__setattr__(self, "_h", hash(comps))
 
     @classmethod
     def empty(cls, r: int) -> "MultiPartition":
@@ -182,7 +186,7 @@ class MultiPartition(Frozen):
         return isinstance(other, MultiPartition) and self.components == other.components
 
     def __hash__(self) -> int:
-        return hash(self.components)
+        return self._h
 
     def __repr__(self) -> str:
         return "MP" + repr([list(c.parts) for c in self.components])
@@ -436,7 +440,7 @@ def _cell_table(outer: MultiPartition, inner: MultiPartition) -> tuple:
 class SkewShape(Frozen):
     """A multipartition diagram minus a contained inner multipartition."""
 
-    __slots__ = ("outer", "inner")
+    __slots__ = ("outer", "inner", "_h")
 
     def __init__(self, outer: MultiPartition, inner: MultiPartition = None):
         if inner is None:
@@ -445,6 +449,7 @@ class SkewShape(Frozen):
             raise InputError(f"inner {inner} not contained in outer {outer}")
         object.__setattr__(self, "outer", outer)
         object.__setattr__(self, "inner", inner)
+        object.__setattr__(self, "_h", hash((outer, inner)))
 
     @property
     def r(self) -> int:
@@ -472,7 +477,7 @@ class SkewShape(Frozen):
         )
 
     def __hash__(self) -> int:
-        return hash((self.outer, self.inner))
+        return self._h
 
     def __repr__(self) -> str:
         return f"SkewShape({self.outer!r}, {self.inner!r})"

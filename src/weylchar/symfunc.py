@@ -128,17 +128,25 @@ def schur_to_monomials(la: MultiPartition, bound: ShapeBound) -> MonomialPoly:
     return MonomialPoly(bound, la.size, terms)
 
 
+@cache
+def _weyl_row(la: MultiPartition) -> tuple:
+    """The nonzero (mu, multiplicity) pairs of la's chain-route row, in
+    canonical order."""
+    row = (
+        (mu, multiplicity(la, mu, method="chain"))
+        for mu in multipartitions(la.size, ShapeBound.for_size(la.size, la.r))
+    )
+    return tuple((mu, c) for mu, c in row if c)
+
+
 def weyl_schur(la: MultiPartition) -> SchurExpansion:
     """The Weyl-module character written in the Schur-product basis.
 
     Its coefficients form the multiplicity row of la, so the expansion is
-    unitriangular against the Schur basis.
+    unitriangular against the Schur basis. Each call returns a fresh
+    expansion over the memoized row.
     """
-    terms = {
-        mu: multiplicity(la, mu, method="chain")
-        for mu in multipartitions(la.size, ShapeBound.for_size(la.size, la.r))
-    }
-    return SchurExpansion(la.r, la.size, terms)
+    return SchurExpansion(la.r, la.size, dict(_weyl_row(la)))
 
 
 def character(la: MultiPartition, bound: ShapeBound = None) -> MonomialPoly:
@@ -182,43 +190,53 @@ def schur_product(a: SchurExpansion, b: SchurExpansion) -> SchurExpansion:
                 _schur_times(p, q) for p, q in zip(xi.components, eta.components)
             ]
             for combo in iproduct(*factor_lists):
-                mp = MultiPartition(tuple(part for part, _ in combo))
+                key = tuple(part for part, _ in combo)
                 c = weight
                 for _, lr in combo:
                     c *= lr
-                terms[mp] = terms.get(mp, 0) + c
-    return SchurExpansion(a.r, a.degree + b.degree, terms)
+                terms[key] = terms.get(key, 0) + c
+    return SchurExpansion(
+        a.r,
+        a.degree + b.degree,
+        {MultiPartition(key): c for key, c in terms.items()},
+    )
 
 
 @cache
-def _basis_change(degree: int, r: int) -> tuple:
-    """Multiplicity matrix and its inverse at a degree, stable bound."""
+def _basis_change(degree: int, r: int) -> dict:
+    """The inverse multiplicity matrix at a degree, stable bound, as sparse
+    rows: each index entry maps to its nonzero (target, coefficient) pairs
+    in canonical order. The matrix itself is not kept: its row at la is
+    _weyl_row(la)."""
     bound = ShapeBound.for_size(degree, r)
-    mat = multiplicity_matrix(degree, bound, method="chain")
-    return mat, invert_unitriangular(mat)
+    inv = invert_unitriangular(multiplicity_matrix(degree, bound, method="chain"))
+    return {
+        src: tuple((dst, c) for dst, c in zip(inv.order, row) if c)
+        for src, row in zip(inv.order, inv.rows)
+    }
 
 
-def _change_basis(expansion: SchurExpansion, mat) -> SchurExpansion:
-    """Multiply the coefficient row vector of an expansion by mat."""
+def _change_basis(expansion: SchurExpansion, row_of) -> SchurExpansion:
+    """Multiply the coefficient row vector of an expansion by the matrix
+    whose row at each index entry is row_of(entry), as (target, coefficient)
+    pairs."""
     terms: dict = {}
     for src, a in expansion.terms.items():
-        row = mat.rows[mat._pos[src]]
-        for c, dst in zip(row, mat.order):
-            if c:
-                terms[dst] = terms.get(dst, 0) + a * c
+        for dst, c in row_of(src):
+            terms[dst] = terms.get(dst, 0) + a * c
     return SchurExpansion(expansion.r, expansion.degree, terms)
 
 
 def to_weyl_basis(expansion: SchurExpansion) -> SchurExpansion:
     """Rewrite a Schur-basis expansion in the character basis."""
-    _, inv = _basis_change(expansion.degree, expansion.r)
-    return _change_basis(expansion, inv)
+    rows = _basis_change(expansion.degree, expansion.r)
+    return _change_basis(expansion, rows.__getitem__)
 
 
 def to_schur_basis(expansion: SchurExpansion) -> SchurExpansion:
-    """Rewrite a character-basis expansion in the Schur basis."""
-    mat, _ = _basis_change(expansion.degree, expansion.r)
-    return _change_basis(expansion, mat)
+    """Rewrite a character-basis expansion in the Schur basis: the basis
+    element la is weyl_schur(la)."""
+    return _change_basis(expansion, _weyl_row)
 
 
 def structure_constants(la: MultiPartition, mu: MultiPartition) -> SchurExpansion:

@@ -4,16 +4,27 @@ Every drawn option value is either hostile or tiny, so no case starts a large
 computation: shapes have at most two components of at most two parts, each
 part at most 2 and the whole shape at most 3 cells; counts and caps are at
 most 3. --out and --cache-dir are never drawn.
+
+A second test runs shapes too large for memory in a child process whose
+address space is capped, and checks that each exits 2 with one error line.
 """
 
 import contextlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import weylchar
 from weylchar import cli
+
+SRC = str(Path(weylchar.__file__).resolve().parents[1])
 
 HOSTILE = [
     "NaN", "Infinity", "-Infinity", "1e400", str(2**63), str(2**64 + 1),
@@ -107,3 +118,36 @@ def test_boundary_generated(files, data):
         assert out.getvalue() == ""
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+# One large shape per command that runs out of memory before it finishes.
+OUT_OF_MEMORY = [
+    ["tilde", "--lambda", "[[200]]"],
+    ["character", "--lambda", "[[200]]"],
+    ["beta-matrix", "--n", "200", "--r", "1"],
+    ["beta", "--method", "solve", "--lambda", "[[200]]", "--mu", "[[200]]"],
+]
+ADDRESS_SPACE = 256 * 2**20
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+
+@pytest.mark.parametrize("argv", OUT_OF_MEMORY, ids=" ".join)
+def test_out_of_memory_exits_2(argv):
+    # The limit is set in the child only, between fork and exec.
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from weylchar.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=path, WEYLCHAR_CACHE=""),
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error: input too large: out of memory"]
+    assert "Traceback" not in proc.stderr

@@ -3,7 +3,9 @@
 `bench/references.json` maps each benchmark job to the sha256 of its
 stdout. This test runs the small jobs in-process through `cli.main`, so an
 ordering or formatting change shows up in the test suite, not only in a
-benchmark run. The full-size workload jobs are left to the benchmark.
+benchmark run. Every `conjecture-scan` job runs here, the full-size ones of
+the `scan` workload included (about 1 s each); the other full-size workload
+jobs are left to the benchmark.
 """
 
 import hashlib
@@ -26,7 +28,7 @@ PLAIN = ("beta ", "tilde ", "cmul ", "character ", "crystal-graph ")
 def _jobs():
     """(reference key, argv) for every job small enough for the test suite."""
     for key in REFERENCES:
-        if key.startswith(PLAIN) or key == "conjecture-scan --n-max 2 --r 2":
+        if key.startswith(PLAIN + ("conjecture-scan ",)):
             yield key, key.split()
         elif key.startswith("beta-matrix tsv"):
             n, r = (x.split("=")[1] for x in key.split()[2:])
@@ -46,6 +48,11 @@ def test_jobs_cover_the_small_references():
     keys = {key for key, _ in JOBS}
     assert "crystal-graph --lambda [[2,1],[1,1]]" in keys
     assert "beta-matrix json n=4 r=3" in keys and "beta-matrix tsv n=6 r=2" in keys
+    assert {
+        "conjecture-scan --n-max 2 --r 2",
+        "conjecture-scan --n-max 7 --r 2",
+        "conjecture-scan --n-max 5 --r 3",
+    } <= keys
     assert not any(k.startswith(("factorize", "beta-matrix json n=6")) for k in keys)
 
 

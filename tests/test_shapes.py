@@ -302,3 +302,30 @@ def test_frozen_base_leaves_equality_to_subclasses():
     assert "__eq__" not in vars(Frozen) and "__hash__" not in vars(Frozen)
     for cls in (IndexedMatrix, MonomialPoly, SchurExpansion):
         assert cls.__hash__ is None
+
+
+# Equal values built along different paths, and the hash each had when it was
+# computed on every call, so that no set or dict order can change.
+_EMPTY2 = MultiPartition.empty(2)
+STORED_HASHES = [
+    (Partition([2, 1, 0]), Partition((2, 1)), lambda p: hash(p.parts)),
+    (
+        mp([[2], [1]]),
+        MultiPartition((Partition([2]), Partition([1]))),
+        lambda x: hash(x.components),
+    ),
+    (
+        SkewShape(mp([[2], [1]])),
+        SkewShape(mp([[2], [1]]), _EMPTY2),
+        lambda s: hash((s.outer, s.inner)),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "a, b, formula", STORED_HASHES, ids=[type(a).__name__ for a, _, _ in STORED_HASHES]
+)
+def test_stored_hashes_keep_the_value_formula(a, b, formula):
+    assert a == b and hash(a) == hash(b)
+    assert hash(a) == formula(a) == formula(b)
+    assert len({a, b}) == 1

@@ -178,12 +178,26 @@ def test_structure_constants_match_lr_product_on_size_match():
 
 
 def test_basis_roundtrip():
-    for n in range(0, 6):
-        b = ShapeBound.for_size(n, 2)
-        for la in multipartitions(n, b):
-            e = SchurExpansion(2, n, {la: 1})
-            assert to_weyl_basis(to_schur_basis(e)).terms == e.terms
-            assert to_schur_basis(to_weyl_basis(e)).terms == e.terms
+    for r, n_max in ((2, 5), (3, 4)):
+        for n in range(0, n_max + 1):
+            b = ShapeBound.for_size(n, r)
+            for la in multipartitions(n, b):
+                e = SchurExpansion(r, n, {la: 1})
+                assert to_weyl_basis(to_schur_basis(e)).terms == e.terms
+                assert to_schur_basis(to_weyl_basis(e)).terms == e.terms
+
+
+def test_basis_element_is_its_character():
+    for r in (1, 2, 3):
+        for n in range(0, 5):
+            for la in multipartitions(n, ShapeBound.for_size(n, r)):
+                w = weyl_schur(la)
+                assert to_schur_basis(SchurExpansion(r, n, {la: 1})) == w
+                assert to_weyl_basis(w).terms == {la: 1}
+                # Each call builds its own terms: the memoized row stays intact.
+                expected = dict(w.terms)
+                w.terms.clear()
+                assert weyl_schur(la).terms == expected
 
 
 def test_weyl_basis_spans_with_unit_diagonal():
