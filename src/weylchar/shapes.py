@@ -39,6 +39,17 @@ class Frozen:
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    @classmethod
+    def trusted(cls, **fields):
+        """A value the code built itself from parts it has already checked:
+        each field is set as given, and __init__'s checks do not run again.
+        The caller gives every slot. Input from a user goes through
+        __init__."""
+        obj = object.__new__(cls)
+        for name, value in fields.items():
+            object.__setattr__(obj, name, value)
+        return obj
+
 
 class Partition(Frozen):
     """A weakly decreasing sequence of positive parts; trailing zeros are stripped."""

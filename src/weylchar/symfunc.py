@@ -6,7 +6,7 @@ Products are taken in the stable ring (no cap on part counts); a bound only
 enters when expanding into monomials of finitely many variables.
 """
 
-from functools import cache
+from functools import cache, lru_cache
 from itertools import product as iproduct
 
 from .errors import InputError
@@ -19,6 +19,7 @@ from .branching import (
     multiplicity,
 )
 from .shapes import (
+    EMPTY,
     Frozen,
     MultiComposition,
     MultiPartition,
@@ -97,6 +98,14 @@ class MonomialPoly(Frozen):
         return f"MonomialPoly(degree={self.degree}, {len(self.terms)} terms)"
 
 
+def _expansion(r: int, degree: int, terms: dict) -> SchurExpansion:
+    """A SchurExpansion of terms this module built itself: zero coefficients
+    are dropped, and nothing else is checked again."""
+    return SchurExpansion.trusted(
+        r=r, degree=degree, terms={mp: c for mp, c in terms.items() if c}
+    )
+
+
 @cache
 def _schur_component_monomials(p: Partition, m: int) -> dict:
     """Monomial expansion of one Schur polynomial in m variables."""
@@ -112,20 +121,29 @@ def schur_to_monomials(la: MultiPartition, bound: ShapeBound) -> MonomialPoly:
     """Monomial expansion of the product of component Schur polynomials.
 
     The coefficient of x^mu is the product of the component Kostka numbers.
+    Each call returns a fresh polynomial over the memoized terms.
     """
     if not la.fits(bound):
         raise InputError(f"{la} does not fit {bound}")
+    return MonomialPoly.trusted(
+        bound=bound, degree=la.size, terms=dict(_monomial_terms(la, bound))
+    )
+
+
+@cache
+def _monomial_terms(la: MultiPartition, bound: ShapeBound) -> tuple:
+    """The (monomial, coefficient) terms of schur_to_monomials(la, bound).
+    Each coefficient is a product of nonzero Kostka numbers, so none is 0."""
     factor_dicts = [
         _schur_component_monomials(c, mk) for c, mk in zip(la.components, bound.m)
     ]
-    terms: dict = {}
+    terms = []
     for combo in iproduct(*(d.items() for d in factor_dicts)):
-        rows = tuple(w for w, _ in combo)
         coeff = 1
         for _, c in combo:
             coeff *= c
-        terms[MultiComposition(rows)] = coeff
-    return MonomialPoly(bound, la.size, terms)
+        terms.append((MultiComposition(w for w, _ in combo), coeff))
+    return tuple(terms)
 
 
 @cache
@@ -146,7 +164,7 @@ def weyl_schur(la: MultiPartition) -> SchurExpansion:
     unitriangular against the Schur basis. Each call returns a fresh
     expansion over the memoized row.
     """
-    return SchurExpansion(la.r, la.size, dict(_weyl_row(la)))
+    return _expansion(la.r, la.size, dict(_weyl_row(la)))
 
 
 def character(la: MultiPartition, bound: ShapeBound = None) -> MonomialPoly:
@@ -178,28 +196,48 @@ def _schur_times(p: Partition, q: Partition) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=1)
+def _product_table(r: int, da: int, db: int) -> tuple:
+    """The Schur-basis products s_xi * s_eta met so far with |xi| = da and
+    |eta| = db, keyed by (xi, eta), and the result multipartitions built for
+    them, keyed by components. One entry: the scan multiplies its size pairs
+    one after another, so a size pair's table goes when the next one
+    starts."""
+    return {}, {}
+
+
+def _basis_product(xi: MultiPartition, eta: MultiPartition, interned: dict) -> tuple:
+    """s_xi * s_eta as ((nu, coeff), ...), componentwise LR; each nu is
+    built once per table through interned."""
+    out = []
+    factor_lists = [_schur_times(p, q) for p, q in zip(xi.components, eta.components)]
+    for combo in iproduct(*factor_lists):
+        key = tuple(part for part, _ in combo)
+        nu = interned.get(key)
+        if nu is None:
+            nu = interned[key] = MultiPartition(key)
+        c = 1
+        for _, lr in combo:
+            c *= lr
+        out.append((nu, c))
+    return tuple(out)
+
+
 def schur_product(a: SchurExpansion, b: SchurExpansion) -> SchurExpansion:
     """Product of Schur expansions in the stable ring, componentwise LR."""
     if a.r != b.r:
         raise InputError("component counts disagree")
+    products, interned = _product_table(a.r, a.degree, b.degree)
     terms: dict = {}
     for xi, ca in a.terms.items():
         for eta, cb in b.terms.items():
+            pair = products.get((xi, eta))
+            if pair is None:
+                pair = products[xi, eta] = _basis_product(xi, eta, interned)
             weight = ca * cb
-            factor_lists = [
-                _schur_times(p, q) for p, q in zip(xi.components, eta.components)
-            ]
-            for combo in iproduct(*factor_lists):
-                key = tuple(part for part, _ in combo)
-                c = weight
-                for _, lr in combo:
-                    c *= lr
-                terms[key] = terms.get(key, 0) + c
-    return SchurExpansion(
-        a.r,
-        a.degree + b.degree,
-        {MultiPartition(key): c for key, c in terms.items()},
-    )
+            for nu, c in pair:
+                terms[nu] = terms.get(nu, 0) + weight * c
+    return _expansion(a.r, a.degree + b.degree, terms)
 
 
 @cache
@@ -224,7 +262,7 @@ def _change_basis(expansion: SchurExpansion, row_of) -> SchurExpansion:
     for src, a in expansion.terms.items():
         for dst, c in row_of(src):
             terms[dst] = terms.get(dst, 0) + a * c
-    return SchurExpansion(expansion.r, expansion.degree, terms)
+    return _expansion(expansion.r, expansion.degree, terms)
 
 
 def to_weyl_basis(expansion: SchurExpansion) -> SchurExpansion:
@@ -258,23 +296,35 @@ def union_alphabet_schur(p, t: int, r: int) -> SchurExpansion:
     if not 0 <= t < r:
         raise InputError(f"component {t} out of range for r={r}")
 
-    def expand(q: Partition, k: int) -> dict:
-        if k == r - 1:
-            return {(q,): 1}
-        out: dict = {}
-        for alpha in _subpartitions(q):
-            for gamma in partitions_of(q.size - alpha.size):
-                c = lr_coeff(q, alpha, gamma)
-                if not c:
-                    continue
-                for rest, c2 in expand(gamma, k + 1).items():
-                    key = (alpha,) + rest
-                    out[key] = out.get(key, 0) + c * c2
-        return out
-
+    # One level per component from t on. Each state is [the partitions
+    # chosen so far, the partition left for the remaining alphabets, its
+    # coefficient]; splitting off the next component keeps the states in
+    # first-seen order. A state with nothing left is carried as it is,
+    # without rehashing its prefix: every later component is empty, and no
+    # other state reaches its extension.
+    states = [[(), p, 1]]
+    for _ in range(t, r - 1):
+        nxt, seen = [], {}
+        for state in states:
+            chosen, q, c = state
+            if not q.size:
+                nxt.append(state)
+                continue
+            for alpha in _subpartitions(q):
+                for gamma in partitions_of(q.size - alpha.size):
+                    lr = lr_coeff(q, alpha, gamma)
+                    if not lr:
+                        continue
+                    key = (chosen + (alpha,), gamma)
+                    if key not in seen:
+                        seen[key] = [key[0], gamma, 0]
+                        nxt.append(seen[key])
+                    seen[key][2] += c * lr
+        states = nxt
+    head = (EMPTY,) * t
     terms = {
-        MultiPartition((Partition(),) * t + tail): c
-        for tail, c in expand(p, t).items()
+        MultiPartition(head + chosen + (q,) + (EMPTY,) * (r - t - 1 - len(chosen))): c
+        for chosen, q, c in states
     }
     return SchurExpansion(r, p.size, terms)
 
@@ -287,7 +337,7 @@ def truncate_to_bound(expansion: SchurExpansion, bound: ShapeBound) -> SchurExpa
     """
     if bound.r != expansion.r:
         raise InputError("component counts disagree")
-    return SchurExpansion(
+    return _expansion(
         expansion.r,
         expansion.degree,
         {mp: c for mp, c in expansion.terms.items() if mp.fits(bound)},
@@ -304,29 +354,45 @@ def scan_structure_constants(n_max: int, r: int) -> dict:
     if n_max < 0:
         raise InputError(f"n_max must be nonnegative, got {n_max}")
     ShapeBound.for_size(n_max, r)  # refuses n_max or r above MAX_CAP up front
-    pairs = []
+    # The product is commutative, so each unordered pair is computed once:
+    # (la, mu) at position (a, i) x (b, j) when (a, i) <= (b, j). Its swap
+    # comes later in the scan and has the same violations with la and mu
+    # exchanged; the nonempty ones are held until the swap reads them.
+    scanned, negatives, support = 0, [], []
+    held: dict = {}
     for total in range(n_max + 1):
         for a in range(total + 1):
             b = total - a
-            for la in multipartitions(a, ShapeBound.for_size(a, r)):
-                for mu in multipartitions(b, ShapeBound.for_size(b, r)):
-                    pairs.append((la, mu))
-
-    negatives, support = [], []
-    for la, mu in pairs:
-        target_sizes = tuple(
-            x.size + y.size for x, y in zip(la.components, mu.components)
-        )
-        for nu, c in structure_constants(la, mu).canonical_items():
-            sizes = tuple(comp.size for comp in nu.components)
-            if c < 0:
-                negatives.append((la, mu, nu, c))
-            if c and sizes != target_sizes:
-                support.append((la, mu, nu, c))
+            rights = multipartitions(b, ShapeBound.for_size(b, r))
+            for i, la in enumerate(multipartitions(a, ShapeBound.for_size(a, r))):
+                for j, mu in enumerate(rights):
+                    scanned += 1
+                    if (a, i) > (b, j):
+                        neg, sup = held.pop((mu, la), ((), ()))
+                    else:
+                        neg, sup = _violations(la, mu)
+                        if (neg or sup) and (a, i) < (b, j):
+                            held[la, mu] = neg, sup
+                    negatives += [(la, mu, nu, c) for nu, c in neg]
+                    support += [(la, mu, nu, c) for nu, c in sup]
     return {
         "n_max": n_max,
         "r": r,
-        "scanned": len(pairs),
+        "scanned": scanned,
         "c1_violations": negatives,
         "c2_violations": support,
     }
+
+
+def _violations(la: MultiPartition, mu: MultiPartition) -> tuple:
+    """The (nu, c) terms of structure_constants(la, mu) that break each
+    claim, in canonical order: negative ones, and nonzero ones whose
+    component-size vector is not that of the factor sum."""
+    target = tuple(x.size + y.size for x, y in zip(la.components, mu.components))
+    negatives, support = [], []
+    for nu, c in structure_constants(la, mu).canonical_items():
+        if c < 0:
+            negatives.append((nu, c))
+        if c and tuple(comp.size for comp in nu.components) != target:
+            support.append((nu, c))
+    return negatives, support

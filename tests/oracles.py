@@ -247,3 +247,32 @@ def brute_layer_chains(la, sizes):
         if all(size(levels[k]) - size(levels[k - 1]) == sizes[k - 1] for k in range(1, r + 1)):
             out.add(levels)
     return out
+
+
+def naive_scan(n_max, r, index, constants):
+    """The conjecture-scan report with one product per ordered pair.
+
+    index(a) lists the multipartitions of size a in scan order, and
+    constants(la, mu) gives the (nu, c) terms of their product in canonical
+    order. Every ordered pair (la, mu) with |la| + |mu| <= n_max is visited
+    in the scan's order and gets its own call.
+    """
+    scanned, negatives, support = 0, [], []
+    for total in range(n_max + 1):
+        for a in range(total + 1):
+            for la in index(a):
+                for mu in index(total - a):
+                    scanned += 1
+                    target = [x.size + y.size for x, y in zip(la.components, mu.components)]
+                    for nu, c in constants(la, mu):
+                        if c < 0:
+                            negatives.append((la, mu, nu, c))
+                        if c and [x.size for x in nu.components] != target:
+                            support.append((la, mu, nu, c))
+    return {
+        "n_max": n_max,
+        "r": r,
+        "scanned": scanned,
+        "c1_violations": negatives,
+        "c2_violations": support,
+    }

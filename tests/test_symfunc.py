@@ -1,3 +1,7 @@
+import inspect
+import sys
+from collections import Counter
+
 import pytest
 
 from weylchar import (
@@ -26,6 +30,10 @@ from weylchar import (
     union_alphabet_schur,
     weyl_schur,
 )
+from weylchar import symfunc
+from weylchar.shapes import canonical_key
+
+from oracles import naive_scan
 
 
 def mp(rows):
@@ -245,6 +253,20 @@ def test_union_alphabet_matches_weyl_schur():
                     )
 
 
+def test_union_alphabet_needs_no_stack_per_component():
+    # The expansion walks the components with a loop, so a shape spread over
+    # far more alphabets than the spare stack still expands, in term order.
+    r = 300
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 60)
+    try:
+        e = union_alphabet_schur((1,), 0, r)
+    finally:
+        sys.setrecursionlimit(limit)
+    boxes = [mp([[]] * k + [[1]] + [[]] * (r - 1 - k)) for k in range(r)]
+    assert list(e.terms.items()) == [(box, 1) for box in boxes]
+
+
 def test_union_alphabet_bad_component():
     with pytest.raises(InputError):
         union_alphabet_schur(Partition([1]), 2, 2)
@@ -275,6 +297,110 @@ def test_scan_structure_constants_shape():
         len(report["c2_violations"]),
         "support violations",
     )
+
+
+def _scan_index(r):
+    return lambda a: multipartitions(a, ShapeBound.for_size(a, r))
+
+
+def _fake_constants(la, mu):
+    # Commutative, with negative and off-support terms: every multipartition
+    # of the total size gets a coefficient in -2..2 from a symmetric seed.
+    seed = sum(canonical_key(la)) + sum(canonical_key(mu)) + la.size * mu.size
+    total = la.size + mu.size
+    index = multipartitions(total, ShapeBound.for_size(total, la.r))
+    return SchurExpansion(
+        la.r, total, {nu: (k + seed) % 5 - 2 for k, nu in enumerate(index)}
+    )
+
+
+def test_scan_places_each_violation_at_its_ordered_pair(monkeypatch):
+    n_max, r = 4, 2
+    calls = Counter()
+
+    def counted(la, mu):
+        calls[frozenset((la, mu))] += 1
+        return _fake_constants(la, mu)
+
+    monkeypatch.setattr(symfunc, "structure_constants", counted)
+    report = scan_structure_constants(n_max, r)
+    expected = naive_scan(
+        n_max, r, _scan_index(r), lambda la, mu: _fake_constants(la, mu).canonical_items()
+    )
+    assert expected["c1_violations"] and expected["c2_violations"]
+    assert report == expected
+    # one product per unordered pair, the pair la = mu included
+    unordered = {
+        frozenset((la, mu))
+        for total in range(n_max + 1)
+        for a in range(total + 1)
+        for la in _scan_index(r)(a)
+        for mu in _scan_index(r)(total - a)
+    }
+    assert set(calls) == unordered
+    assert set(calls.values()) == {1}
+
+
+def test_structure_constants_commute_at_r3():
+    # The scan computes each unordered pair once and reads the swapped pair
+    # from it; the two orders multiply through separate LR products.
+    r = 3
+    for total in range(5):
+        for a in range(total + 1):
+            for la in multipartitions(a, ShapeBound.for_size(a, r)):
+                for mu in multipartitions(total - a, ShapeBound.for_size(total - a, r)):
+                    assert (
+                        structure_constants(la, mu).terms
+                        == structure_constants(mu, la).terms
+                    ), (la, mu)
+
+
+def _validated(value):
+    if isinstance(value, SchurExpansion):
+        return SchurExpansion(value.r, value.degree, dict(value.terms))
+    return MonomialPoly(value.bound, value.degree, dict(value.terms))
+
+
+def test_trusted_sites_equal_validated_values():
+    # Values symfunc builds itself skip the checks of __init__; each must
+    # still be a value __init__ accepts and equal to it, with no zero term.
+    from weylchar import truncate_to_bound
+
+    la, mu = mp([[1], [1]]), mp([[1, 1], []])
+    product = schur_product(weyl_schur(la), weyl_schur(mu))
+    in_weyl = to_weyl_basis(product)
+    values = [
+        weyl_schur(la),
+        product,
+        in_weyl,
+        to_schur_basis(in_weyl),
+        truncate_to_bound(product, ShapeBound((1, 1))),
+        schur_to_monomials(mu, ShapeBound((2, 3))),
+    ]
+    for value in values:
+        assert value == _validated(value)
+        assert all(value.terms.values())
+    assert to_schur_basis(in_weyl) == product
+    # the basis change cancels every term but la itself
+    assert to_weyl_basis(weyl_schur(la)).terms == {la: 1}
+
+
+def test_trusted_value_is_immutable():
+    e = weyl_schur(mp([[1], []]))
+    with pytest.raises(AttributeError):
+        e.terms = {}
+
+
+def test_schur_to_monomials_returns_a_fresh_value():
+    la, b = mp([[1], [1]]), ShapeBound((2, 2))
+    first = schur_to_monomials(la, b)
+    first.terms.clear()
+    assert schur_to_monomials(la, b).terms == {
+        mc([(1, 0), (1, 0)]): 1,
+        mc([(1, 0), (0, 1)]): 1,
+        mc([(0, 1), (1, 0)]): 1,
+        mc([(0, 1), (0, 1)]): 1,
+    }
 
 
 def test_monomial_poly_validates():
