@@ -243,9 +243,9 @@ def layer_chains(la: MultiPartition, sizes: tuple) -> Iterator[tuple]:
 
 
 # One entry suffices: multipartitions sorts by size vector first, so every
-# reader of a row (multiplicity_matrix, weyl_schur through symfunc._weyl_row,
-# and symfunc._basis_change through multiplicity_matrix) reads each block in
-# one run.
+# reader of a row (multiplicity_matrix, symfunc.weyl_schur, and
+# symfunc._basis_change through multiplicity_matrix) reads each block in one
+# run.
 @lru_cache(maxsize=1)
 def _chain_layers(la: MultiPartition, sizes: tuple) -> tuple:
     """The row block of (la, sizes): per slicing, its skew layers from

@@ -26,6 +26,8 @@ class Frozen:
 
     Subclasses declare their __slots__ and store each field once in __init__
     through object.__setattr__; afterwards no field can be set or deleted.
+    Every public field holds an immutable value (a tuple, a frozen value, a
+    read-only mapping), so one memoized value can serve every caller.
     Equality and hashing stay with each subclass; the hot memo keys
     (Partition, MultiPartition, SkewShape) compute their hash once, in an
     _h slot.
@@ -38,17 +40,6 @@ class Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-    @classmethod
-    def trusted(cls, **fields):
-        """A value the code built itself from parts it has already checked:
-        each field is set as given, and __init__'s checks do not run again.
-        The caller gives every slot. Input from a user goes through
-        __init__."""
-        obj = object.__new__(cls)
-        for name, value in fields.items():
-            object.__setattr__(obj, name, value)
-        return obj
 
 
 class Partition(Frozen):

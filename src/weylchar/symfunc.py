@@ -8,15 +8,16 @@ enters when expanding into monomials of finitely many variables.
 
 from functools import cache, lru_cache
 from itertools import product as iproduct
+from types import MappingProxyType
 
 from .errors import InputError
 from .branching import (
+    _chain_value,
     _subpartitions,
     invert_unitriangular,
     kostka,
     lr_coeff,
     multiplicity_matrix,
-    multiplicity,
 )
 from .shapes import (
     EMPTY,
@@ -45,7 +46,7 @@ class SchurExpansion(Frozen):
                 raise InputError(f"index {mp} not of degree {degree} with {r} components")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
 
     def coeff(self, mp: MultiPartition) -> int:
         return self.terms.get(mp, 0)
@@ -78,7 +79,7 @@ class MonomialPoly(Frozen):
                 raise InputError(f"monomial {mc} does not match degree/bound")
         object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
 
     def coeff(self, mc: MultiComposition) -> int:
         return self.terms.get(mc, 0)
@@ -98,73 +99,46 @@ class MonomialPoly(Frozen):
         return f"MonomialPoly(degree={self.degree}, {len(self.terms)} terms)"
 
 
-def _expansion(r: int, degree: int, terms: dict) -> SchurExpansion:
-    """A SchurExpansion of terms this module built itself: zero coefficients
-    are dropped, and nothing else is checked again."""
-    return SchurExpansion.trusted(
-        r=r, degree=degree, terms={mp: c for mp, c in terms.items() if c}
-    )
+@cache
+def _schur_component_monomials(p: Partition, m: int) -> tuple:
+    """Monomial expansion of one Schur polynomial in m variables, as its
+    (composition, Kostka number) pairs with a nonzero number."""
+    pairs = ((w, kostka(p, w)) for w in compositions_of(p.size, m))
+    return tuple((w, c) for w, c in pairs if c)
 
 
 @cache
-def _schur_component_monomials(p: Partition, m: int) -> dict:
-    """Monomial expansion of one Schur polynomial in m variables."""
-    out = {}
-    for w in compositions_of(p.size, m):
-        c = kostka(p, w)
-        if c:
-            out[w] = c
-    return out
-
-
 def schur_to_monomials(la: MultiPartition, bound: ShapeBound) -> MonomialPoly:
     """Monomial expansion of the product of component Schur polynomials.
 
     The coefficient of x^mu is the product of the component Kostka numbers.
-    Each call returns a fresh polynomial over the memoized terms.
+    Memoized: each (la, bound) has one polynomial.
     """
     if not la.fits(bound):
         raise InputError(f"{la} does not fit {bound}")
-    return MonomialPoly.trusted(
-        bound=bound, degree=la.size, terms=dict(_monomial_terms(la, bound))
-    )
-
-
-@cache
-def _monomial_terms(la: MultiPartition, bound: ShapeBound) -> tuple:
-    """The (monomial, coefficient) terms of schur_to_monomials(la, bound).
-    Each coefficient is a product of nonzero Kostka numbers, so none is 0."""
-    factor_dicts = [
+    factors = [
         _schur_component_monomials(c, mk) for c, mk in zip(la.components, bound.m)
     ]
-    terms = []
-    for combo in iproduct(*(d.items() for d in factor_dicts)):
+    terms = {}
+    for combo in iproduct(*factors):
         coeff = 1
         for _, c in combo:
             coeff *= c
-        terms.append((MultiComposition(w for w, _ in combo), coeff))
-    return tuple(terms)
+        terms[MultiComposition(w for w, _ in combo)] = coeff
+    return MonomialPoly(bound, la.size, terms)
 
 
 @cache
-def _weyl_row(la: MultiPartition) -> tuple:
-    """The nonzero (mu, multiplicity) pairs of la's chain-route row, in
-    canonical order."""
-    row = (
-        (mu, multiplicity(la, mu, method="chain"))
-        for mu in multipartitions(la.size, ShapeBound.for_size(la.size, la.r))
-    )
-    return tuple((mu, c) for mu, c in row if c)
-
-
 def weyl_schur(la: MultiPartition) -> SchurExpansion:
     """The Weyl-module character written in the Schur-product basis.
 
-    Its coefficients form the multiplicity row of la, so the expansion is
-    unitriangular against the Schur basis. Each call returns a fresh
-    expansion over the memoized row.
+    Its coefficients form the chain-route multiplicity row of la, so the
+    expansion is unitriangular against the Schur basis. Memoized: each la
+    has one expansion.
     """
-    return _expansion(la.r, la.size, dict(_weyl_row(la)))
+    bound = ShapeBound.for_size(la.size, la.r)
+    row = {mu: _chain_value(la, mu) for mu in multipartitions(la.size, bound)}
+    return SchurExpansion(la.r, la.size, row)
 
 
 def character(la: MultiPartition, bound: ShapeBound = None) -> MonomialPoly:
@@ -237,7 +211,7 @@ def schur_product(a: SchurExpansion, b: SchurExpansion) -> SchurExpansion:
             weight = ca * cb
             for nu, c in pair:
                 terms[nu] = terms.get(nu, 0) + weight * c
-    return _expansion(a.r, a.degree + b.degree, terms)
+    return SchurExpansion(a.r, a.degree + b.degree, terms)
 
 
 @cache
@@ -245,7 +219,7 @@ def _basis_change(degree: int, r: int) -> dict:
     """The inverse multiplicity matrix at a degree, stable bound, as sparse
     rows: each index entry maps to its nonzero (target, coefficient) pairs
     in canonical order. The matrix itself is not kept: its row at la is
-    _weyl_row(la)."""
+    weyl_schur(la)."""
     bound = ShapeBound.for_size(degree, r)
     inv = invert_unitriangular(multiplicity_matrix(degree, bound, method="chain"))
     return {
@@ -262,7 +236,7 @@ def _change_basis(expansion: SchurExpansion, row_of) -> SchurExpansion:
     for src, a in expansion.terms.items():
         for dst, c in row_of(src):
             terms[dst] = terms.get(dst, 0) + a * c
-    return _expansion(expansion.r, expansion.degree, terms)
+    return SchurExpansion(expansion.r, expansion.degree, terms)
 
 
 def to_weyl_basis(expansion: SchurExpansion) -> SchurExpansion:
@@ -274,7 +248,7 @@ def to_weyl_basis(expansion: SchurExpansion) -> SchurExpansion:
 def to_schur_basis(expansion: SchurExpansion) -> SchurExpansion:
     """Rewrite a character-basis expansion in the Schur basis: the basis
     element la is weyl_schur(la)."""
-    return _change_basis(expansion, _weyl_row)
+    return _change_basis(expansion, lambda la: weyl_schur(la).terms.items())
 
 
 def structure_constants(la: MultiPartition, mu: MultiPartition) -> SchurExpansion:
@@ -337,7 +311,7 @@ def truncate_to_bound(expansion: SchurExpansion, bound: ShapeBound) -> SchurExpa
     """
     if bound.r != expansion.r:
         raise InputError("component counts disagree")
-    return _expansion(
+    return SchurExpansion(
         expansion.r,
         expansion.degree,
         {mp: c for mp, c in expansion.terms.items() if mp.fits(bound)},

@@ -126,6 +126,7 @@ OUT_OF_MEMORY = [
     ["character", "--lambda", "[[200]]"],
     ["beta-matrix", "--n", "200", "--r", "1"],
     ["beta", "--method", "solve", "--lambda", "[[200]]", "--mu", "[[200]]"],
+    ["cmul", "--lambda", "[[200]]", "--mu", "[[1]]"],
 ]
 ADDRESS_SPACE = 256 * 2**20
 

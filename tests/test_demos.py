@@ -63,7 +63,7 @@ def import_bench():
     return run, workloads
 
 
-@pytest.mark.parametrize("workload", ["matrix", "scan"])
+@pytest.mark.parametrize("workload", ["matrix", "oracle", "scan", "queries"])
 def test_bench_trace_records_every_required_name(workload, tmp_path):
     # A traced benchmark run fails when a name it requires records no calls,
     # e.g. when a route stops calling a traced function through the module

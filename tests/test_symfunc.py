@@ -3,6 +3,7 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from weylchar import (
     InputError,
@@ -13,8 +14,10 @@ from weylchar import (
     SchurExpansion,
     ShapeBound,
     SkewShape,
+    as_composition,
     character,
     component_sizes,
+    count_straight_tableaux,
     count_tableaux,
     kostka,
     lr_coeff,
@@ -202,9 +205,12 @@ def test_basis_element_is_its_character():
                 w = weyl_schur(la)
                 assert to_schur_basis(SchurExpansion(r, n, {la: 1})) == w
                 assert to_weyl_basis(w).terms == {la: 1}
-                # Each call builds its own terms: the memoized row stays intact.
+                # The memoized value is shared, so its terms refuse writes.
                 expected = dict(w.terms)
-                w.terms.clear()
+                with pytest.raises((AttributeError, TypeError)):
+                    w.terms.clear()
+                with pytest.raises(TypeError):
+                    w.terms[la] = 0
                 assert weyl_schur(la).terms == expected
 
 
@@ -282,6 +288,54 @@ def test_lr_only_route_matches_weyl_schur():
                 for k, p in enumerate(la.components):
                     row = schur_product(row, union_alphabet_schur(p, k, r))
                 assert row.terms == weyl_schur(la).terms, la
+
+
+@seed(20261019)
+@settings(max_examples=25, deadline=None, database=None)
+@given(data=st.data())
+def test_routes_agree_on_sampled_entries_at_four_and_five_components(data):
+    # No exhaustive route check reaches r >= 4; sample (la, mu) there. The
+    # four routes and the tableau count are definitional identities, so no
+    # two of them can agree by sharing a bug.
+    r, n_max = data.draw(st.sampled_from([(4, 5), (5, 4)]))
+    n = data.draw(st.integers(0, n_max))
+    bound = ShapeBound.for_size(n, r)
+    index = multipartitions(n, bound)
+    la = data.draw(st.sampled_from(index))
+    mu = data.draw(st.sampled_from(index))
+    lr_only = SchurExpansion(r, 0, {MultiPartition.empty(r): 1})
+    for k, p in enumerate(la.components):
+        lr_only = schur_product(lr_only, union_alphabet_schur(p, k, r))
+    values = {
+        method: multiplicity(la, mu, method=method)
+        for method in ("singular", "chain", "solve")
+    }
+    assert values == dict.fromkeys(values, lr_only.coeff(mu)), (la, mu)
+    assert character(la).coeff(as_composition(mu, bound)) == count_straight_tableaux(
+        la, mu, bound
+    ), (la, mu)
+
+
+def test_terms_are_read_only():
+    la, mu = mp([[1], [1]]), mp([[1, 1], []])
+    b = ShapeBound((2, 3))
+    values = {
+        "weyl_schur": lambda: weyl_schur(la),
+        "schur_to_monomials": lambda: schur_to_monomials(mu, b),
+        "schur_product": lambda: schur_product(weyl_schur(la), weyl_schur(mu)),
+        "to_weyl_basis": lambda: to_weyl_basis(weyl_schur(la)),
+        "SchurExpansion": lambda: SchurExpansion(2, 2, {la: 1, mu: -2}),
+        "MonomialPoly": lambda: MonomialPoly(b, 1, {mc([(1, 0), (0, 0, 0)]): 3}),
+    }
+    for name, build in values.items():
+        value = build()
+        expected = dict(value.terms)
+        key = next(iter(expected))
+        with pytest.raises(TypeError):
+            value.terms[key] = 0
+        with pytest.raises((AttributeError, TypeError)):
+            value.terms.clear()
+        assert build().terms == expected, name
 
 
 def test_scan_structure_constants_shape():
@@ -362,8 +416,9 @@ def _validated(value):
 
 
 def test_trusted_sites_equal_validated_values():
-    # Values symfunc builds itself skip the checks of __init__; each must
-    # still be a value __init__ accepts and equal to it, with no zero term.
+    # Every value symfunc builds goes through the checks of __init__; each
+    # must equal the value __init__ builds again from its terms, with no
+    # zero term.
     from weylchar import truncate_to_bound
 
     la, mu = mp([[1], [1]]), mp([[1, 1], []])
@@ -394,7 +449,10 @@ def test_trusted_value_is_immutable():
 def test_schur_to_monomials_returns_a_fresh_value():
     la, b = mp([[1], [1]]), ShapeBound((2, 2))
     first = schur_to_monomials(la, b)
-    first.terms.clear()
+    with pytest.raises((AttributeError, TypeError)):
+        first.terms.clear()
+    with pytest.raises(TypeError):
+        first.terms[mc([(1, 0), (1, 0)])] = 0
     assert schur_to_monomials(la, b).terms == {
         mc([(1, 0), (1, 0)]): 1,
         mc([(1, 0), (0, 1)]): 1,
