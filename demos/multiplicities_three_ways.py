@@ -20,9 +20,9 @@ from weylchar import (
 n, r = 3, 2
 bound = ShapeBound.for_size(n, r)
 
-print(f"All {len(multipartitions(n, bound))} shapes of size {n} with {r} components,")
+print(f"All {len(multipartitions(n, r))} shapes of size {n} with {r} components,")
 print("in the canonical order (most dominant first):")
-for la in multipartitions(n, bound):
+for la in multipartitions(n, r):
     print("  ", la)
 
 # Pick one shape and compute its full multiplicity row three ways.
@@ -30,7 +30,7 @@ la = MultiPartition([[2], [1]])
 print(f"\nMultiplicity row of {la}:")
 print(f"{'weight':>22}  singular  chain  solve")
 solve_row = multiplicity_row_by_solve(la)
-for mu in multipartitions(n, bound):
+for mu in multipartitions(n, r):
     s = multiplicity_by_singular(la, mu)
     c = multiplicity_by_chains(la, mu)
     v = solve_row[mu]

@@ -160,8 +160,9 @@ def skew_singular_count(shape: SkewShape, comp: int, weight_row: tuple) -> int:
     reading order, so the prefix test prunes the backtracking as it goes:
     every partial filling already read so far must stay a lattice word.
     """
-    if sum(weight_row) != shape.n_cells:
-        raise InputError("weight size does not match the skew shape")
+    weight_row = ints(weight_row)
+    if min(weight_row, default=0) < 0 or sum(weight_row) != shape.n_cells:
+        raise InputError(f"weight row {weight_row} is no composition of {shape.n_cells}")
     if not 0 <= comp < shape.r:
         raise InputError(f"component {comp} out of range")
     cells, right, above = shape.neighbours()
@@ -279,11 +280,9 @@ def multiplicity_by_chains(la: MultiPartition, mu: MultiPartition) -> int:
 
 @cache
 def _solve_row(la: MultiPartition) -> dict:
-    bound = ShapeBound.for_size(la.size, la.r)
-    order = multipartitions(la.size, bound)
     row: dict = {}
-    for mu in order:
-        t = count_straight_tableaux(la, mu, bound)
+    for mu in multipartitions(la.size, la.r):
+        t = count_straight_tableaux(la, mu)
         acc = 0
         for nu, val in row.items():
             if not val:
@@ -324,7 +323,7 @@ def multiplicity(la: MultiPartition, mu: MultiPartition, *, method: str = "chain
     """Branching multiplicity of the weight mu summand inside shape la."""
     try:
         fn = _DISPATCH[method]
-    except KeyError:
+    except (KeyError, TypeError):  # an unknown or an unhashable method
         raise InputError(f"unknown method {method!r}; pick from {METHODS}")
     return fn(la, mu)
 
@@ -397,7 +396,7 @@ class IndexedMatrix(Frozen):
 
 
 def identity_matrix(n: int, bound: ShapeBound) -> IndexedMatrix:
-    order = multipartitions(n, bound)
+    order = multipartitions(n, bound.r)
     d = len(order)
     rows = [[int(i == j) for j in range(d)] for i in range(d)]
     return IndexedMatrix(n, bound, order, rows)
@@ -408,7 +407,7 @@ def multiplicity_matrix(
 ) -> IndexedMatrix:
     """The full multiplicity matrix over the canonical order."""
     bound.require_stable(n)
-    order = multipartitions(n, bound)
+    order = multipartitions(n, bound.r)
     rows = [
         [multiplicity(la, mu, method=method) for mu in order] for la in order
     ]

@@ -11,7 +11,7 @@ import json
 import os
 import tempfile
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def _digest(op: str, key_obj) -> str:

@@ -27,6 +27,7 @@ from .serialize import (
     matrix_to_tsv,
     expansion_to_obj,
     multipartition_from_obj,
+    residual_report_to_obj,
     scan_report_to_obj,
     weyl_expansion_to_obj,
 )
@@ -148,37 +149,28 @@ def _load_matrix(args, name: str) -> branching.IndexedMatrix:
 
 
 def cmd_factorize(args) -> tuple:
+    if args.x is not None and args.d is None:
+        raise InputError("--X is only meaningful with --D (residual report)")
+    if args.d is not None and args.format != "json":
+        raise InputError("--D emits a JSON residual report; --format must be json")
     dbar = _load_matrix(args, "dbar")
     if "b" in args.texts:
         bmat = _load_matrix(args, "b")
     else:
-        if multipartitions(dbar.n, dbar.bound) != dbar.order:
+        if multipartitions(dbar.n, dbar.r) != dbar.order:
             raise InputError("dbar order is not the canonical order")
         bmat = branching.multiplicity_matrix(dbar.n, dbar.bound)
     if not bmat.same_index(dbar):
         raise InputError("B and Dbar are indexed differently")
-    if args.x is not None and args.d is None:
-        raise InputError("--X is only meaningful with --D (residual report)")
     if args.d is not None:
         if args.x is not None:
             xmat = _load_matrix(args, "x")
         else:
-            dim = dbar.dim
-            xmat = branching.IndexedMatrix(
-                dbar.n,
-                dbar.bound,
-                dbar.order,
-                [[int(i == j) for j in range(dim)] for i in range(dim)],
-            )
+            unit = [[int(i == j) for j in range(dbar.dim)] for i in range(dbar.dim)]
+            xmat = branching.IndexedMatrix(dbar.n, dbar.bound, dbar.order, unit)
         dmat = _load_matrix(args, "d")
         report = branching.factorization_residual(bmat, dbar, xmat, dmat)
-        worst = report["worst_entry"]
-        obj = {
-            "max_abs": report["max_abs"],
-            "zero": report["zero"],
-            "worst_entry": None if worst is None else list(worst),
-        }
-        return json_bytes(obj).decode(), 0
+        return json_bytes(residual_report_to_obj(report)).decode(), 0
     return _matrix_output(branching.derive_decomposition(bmat, dbar), args.format)
 
 

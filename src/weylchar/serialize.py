@@ -85,6 +85,13 @@ def matrix_from_obj(obj) -> IndexedMatrix:
     return IndexedMatrix(n, ShapeBound(m), order, rows)
 
 
+def residual_report_to_obj(report: dict) -> dict:
+    """The factorization residual report; worst_entry is a 1-based
+    [row, column] pair, or null when the residual is zero."""
+    worst = report["worst_entry"]
+    return dict(report, worst_entry=None if worst is None else [i + 1 for i in worst])
+
+
 def matrix_to_tsv(m: IndexedMatrix) -> str:
     lines = [f"# n={m.n} r={m.r} m={','.join(str(x) for x in m.bound.m)}"]
     for mp, row in zip(m.order, m.rows):

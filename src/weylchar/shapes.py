@@ -6,7 +6,7 @@ serialization layer converts to the 1-based external format.
 
 import operator
 from functools import cache, lru_cache
-from itertools import chain, product
+from itertools import product, zip_longest
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import InputError
@@ -174,16 +174,6 @@ class MultiPartition(Frozen):
             len(c) <= mk for c, mk in zip(self.components, bound.m)
         )
 
-    def padded(self, bound: ShapeBound) -> tuple:
-        """Concatenated coordinate vector, each component zero-padded to m_k."""
-        if not self.fits(bound):
-            raise InputError(f"{self} does not fit {bound}")
-        return tuple(
-            chain.from_iterable(
-                c.parts + (0,) * (mk - len(c)) for c, mk in zip(self.components, bound.m)
-            )
-        )
-
     def __eq__(self, other) -> bool:
         return isinstance(other, MultiPartition) and self.components == other.components
 
@@ -215,13 +205,6 @@ class MultiComposition(Frozen):
     @property
     def bound(self) -> ShapeBound:
         return ShapeBound(len(row) for row in self.rows)
-
-    def padded(self, bound: ShapeBound) -> tuple:
-        if self.r != bound.r or any(
-            len(row) != mk for row, mk in zip(self.rows, bound.m)
-        ):
-            raise InputError(f"{self} does not match {bound}")
-        return tuple(chain.from_iterable(self.rows))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, MultiComposition) and self.rows == other.rows
@@ -276,11 +259,16 @@ class Grouping(Frozen):
         return f"Grouping({list(self.sizes)})"
 
 
+def _rows(x: Union[MultiPartition, MultiComposition]) -> tuple:
+    """The r coordinate rows: each component's parts, or each row."""
+    if isinstance(x, MultiPartition):
+        return tuple(c.parts for c in x.components)
+    return x.rows
+
+
 def component_sizes(x: Union[MultiPartition, MultiComposition]) -> tuple:
     """The r-vector of component sizes."""
-    if isinstance(x, MultiPartition):
-        return tuple(c.size for c in x.components)
-    return tuple(sum(row) for row in x.rows)
+    return tuple(map(sum, _rows(x)))
 
 
 def prefix_dominates(a: Sequence[int], b: Sequence[int]) -> bool:
@@ -296,17 +284,20 @@ def prefix_dominates(a: Sequence[int], b: Sequence[int]) -> bool:
     return True
 
 
-def dominates(la, mu, bound: ShapeBound) -> bool:
-    """Dominance order on the concatenated coordinate vectors under a bound.
+def dominates(la, mu) -> bool:
+    """Dominance order on the concatenated coordinate vectors.
 
     Both arguments may be MultiPartition or MultiComposition values of equal
-    total size; prefix sums of the concatenated vectors are compared.
+    r and total size. Each component is zero-padded to the longer of its two
+    rows; more padding would only repeat a prefix comparison already made.
     """
-    va = la.padded(bound)
-    vb = mu.padded(bound)
+    ra, rb = _rows(la), _rows(mu)
+    if len(ra) != len(rb):
+        raise InputError(f"component counts disagree: {len(ra)} vs {len(rb)}")
     if la.size != mu.size:
         raise InputError(f"unequal sizes: {la.size} vs {mu.size}")
-    return prefix_dominates(va, vb)
+    pairs = [p for a, b in zip(ra, rb) for p in zip_longest(a, b, fillvalue=0)]
+    return prefix_dominates([x for x, _ in pairs], [y for _, y in pairs])
 
 
 def group_sizes(la: MultiPartition, grouping: Grouping) -> tuple:
@@ -397,18 +388,18 @@ def canonical_key(la: MultiPartition) -> tuple:
 
 
 @cache
-def multipartitions(n: int, bound: ShapeBound) -> tuple:
-    """All r-multipartitions of n fitting the bound, in canonical order."""
-    if n < 0:
-        raise InputError("n must be nonnegative")
-    bound.require_stable(n)  # so every partition of n_k fits the cap m_k
-    out = [
+def multipartitions(n: int, r: int) -> tuple:
+    """All r-multipartitions of n. They are generated in canonical order (size
+    vectors, then components, descending lexicographic), so none is sorted."""
+    n, r = ints((n, r))
+    if n < 0 or r < 1:
+        raise InputError(f"need n >= 0 and r >= 1, got n={n}, r={r}")
+    ShapeBound.for_size(n, r)  # refuses n or r above MAX_CAP
+    return tuple(
         MultiPartition(combo)
-        for sizes in compositions_of(n, bound.r)
+        for sizes in _compositions(n, r)
         for combo in product(*map(partitions_of, sizes))
-    ]
-    out.sort(key=canonical_key)
-    return tuple(out)
+    )
 
 
 @cache

@@ -136,8 +136,7 @@ def weyl_schur(la: MultiPartition) -> SchurExpansion:
     expansion is unitriangular against the Schur basis. Memoized: each la
     has one expansion.
     """
-    bound = ShapeBound.for_size(la.size, la.r)
-    row = {mu: _chain_value(la, mu) for mu in multipartitions(la.size, bound)}
+    row = {mu: _chain_value(la, mu) for mu in multipartitions(la.size, la.r)}
     return SchurExpansion(la.r, la.size, row)
 
 
@@ -337,8 +336,8 @@ def scan_structure_constants(n_max: int, r: int) -> dict:
     for total in range(n_max + 1):
         for a in range(total + 1):
             b = total - a
-            rights = multipartitions(b, ShapeBound.for_size(b, r))
-            for i, la in enumerate(multipartitions(a, ShapeBound.for_size(a, r))):
+            rights = multipartitions(b, r)
+            for i, la in enumerate(multipartitions(a, r)):
                 for j, mu in enumerate(rights):
                     scanned += 1
                     if (a, i) > (b, j):

@@ -164,10 +164,10 @@ def count_tableaux(shape: SkewShape, weight: MultiComposition) -> int:
     return sum(1 for _ in enumerate_tableaux(shape, weight))
 
 
-def count_straight_tableaux(
-    la: MultiPartition, mu: MultiPartition, bound: ShapeBound
-) -> int:
-    """Tableau count for a straight shape with a multipartition weight."""
+def count_straight_tableaux(la: MultiPartition, mu: MultiPartition) -> int:
+    """Tableau count for a straight shape with a multipartition weight; every
+    bound mu fits gives it, so mu is padded to the stable bound of la."""
+    bound = ShapeBound.for_size(la.size, la.r)
     return count_tableaux(SkewShape(la), as_composition(mu, bound))
 
 

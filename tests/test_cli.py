@@ -1,4 +1,7 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -244,6 +247,43 @@ def test_factorize_residual(tmp_path, capsys):
     assert json.loads(out) == {"max_abs": 0, "zero": True, "worst_entry": None}
 
 
+def test_factorize_residual_worst_entry_is_1_based(tmp_path, capsys):
+    # B * B - B * I is nonzero; its largest entry sits at 0-based (0, 3).
+    code, bmat_out, _ = run(capsys, "beta-matrix", "--n", "2", "--r", "2")
+    bfile = tmp_path / "b.json"
+    bfile.write_text(bmat_out)
+    code, out, _ = run(capsys, "factorize", "--Dbar", str(bfile), "--D", str(bfile))
+    assert code == 0
+    assert out == '{"max_abs":2,"zero":false,"worst_entry":[1,4]}\n'
+
+
+def test_factorize_residual_refuses_tsv(tmp_path, capsys):
+    code, bmat_out, _ = run(capsys, "beta-matrix", "--n", "2", "--r", "2")
+    bfile = tmp_path / "b.json"
+    bfile.write_text(bmat_out)
+    argv = ["factorize", "--Dbar", str(bfile), "--D", str(bfile), "--format", "tsv"]
+    assert_one_error(*run(capsys, *argv))
+    assert run(capsys, *argv[:-1], "json")[0] == 0
+
+
+def test_readme_option_table_matches_parser():
+    # Every row of README's command table lists exactly the options of that
+    # subcommand, less the --out and --cache-dir every command takes.
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    documented = {
+        m.group(1): set(re.findall(r"--[A-Za-z-]+", m.group(2)))
+        for m in re.finditer(r"^\| `([a-z-]+)` \| (.*) \|$", readme, re.M)
+    }
+    actions = cli.build_parser()._actions
+    [sub] = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
+    parsed = {
+        name: {o for a in p._actions for o in a.option_strings}
+        - {"-h", "--help", "--out", "--cache-dir"}
+        for name, p in sub.choices.items()
+    }
+    assert documented == parsed
+
+
 def test_factorize_residual_non_canonical_order(tmp_path, capsys):
     # The default X must follow the order of Dbar, not the canonical one.
     code, bmat_out, _ = run(capsys, "beta-matrix", "--n", "2", "--r", "2")
@@ -443,10 +483,10 @@ def test_consistency_exit_code(monkeypatch, capsys):
 def test_matrix_consistency_failure_names_the_entry(monkeypatch, capsys):
     # A value below the diagonal breaks unitriangularity: exit 3, print
     # nothing, and name the first offending entry.
-    from weylchar import ShapeBound, branching, multipartitions
+    from weylchar import branching, multipartitions
 
     real = branching.multiplicity
-    order = multipartitions(2, ShapeBound.for_size(2, 2))
+    order = multipartitions(2, 2)
     pos = {mp: i for i, mp in enumerate(order)}
 
     def lying(la, mu, *, method="chain"):

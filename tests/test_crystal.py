@@ -133,7 +133,7 @@ def test_singular_iff_all_raising_null():
             if r == 3 and n > 3:
                 continue
             b = ShapeBound.for_size(n, r)
-            for la in multipartitions(n, b):
+            for la in multipartitions(n, r):
                 for t in enumerate_all_tableaux(SkewShape(la), b):
                     w = reading(t)
                     nulls = all(
@@ -145,7 +145,7 @@ def test_singular_iff_all_raising_null():
 def test_superstandard_is_singular():
     for n in range(1, 5):
         b = ShapeBound.for_size(n, 2)
-        for la in multipartitions(n, b):
+        for la in multipartitions(n, 2):
             assert is_singular(superstandard(la, b))
 
 
@@ -167,7 +167,7 @@ def test_closure_within_class():
             if r == 3 and n > 3:
                 continue
             b = ShapeBound.for_size(n, r)
-            for la in multipartitions(n, b):
+            for la in multipartitions(n, r):
                 ts = list(enumerate_all_tableaux(SkewShape(la), b))
                 for cls in equivalence_classes(ts):
                     words = {reading(t) for t in cls}
@@ -207,7 +207,7 @@ def test_crystal_components_two_boxes():
 def test_one_singular_per_component():
     for n in range(1, 5):
         b = ShapeBound.for_size(n, 2)
-        for la in multipartitions(n, b):
+        for la in multipartitions(n, 2):
             comps = crystal_components(SkewShape(la), b)
             for c in comps:
                 singulars = [t for t in c.tableaux if is_singular(t)]

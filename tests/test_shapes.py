@@ -28,6 +28,8 @@ from weylchar import (
     MonomialPoly,
     SchurExpansion,
     identity_matrix,
+    multicompositions,
+    multiplicity_matrix,
     superstandard,
 )
 from weylchar.serialize import multipartition_from_obj, multipartition_to_obj
@@ -75,23 +77,21 @@ def test_prefix_dominates_reflexive(v):
 
 
 def test_dominance_examples():
-    b = ShapeBound((2, 2))
-    assert dominates(mp([[2], []]), mp([[1], [1]]), b)
-    assert dominates(mp([[1], [1]]), mp([[1], [1]]), b)
-    assert not dominates(mp([[1], [1]]), mp([[2], []]), b)
+    assert dominates(mp([[2], []]), mp([[1], [1]]))
+    assert dominates(mp([[1], [1]]), mp([[1], [1]]))
+    assert not dominates(mp([[1], [1]]), mp([[2], []]))
     with pytest.raises(InputError):
-        dominates(mp([[2], []]), mp([[1], []]), b)
+        dominates(mp([[2], []]), mp([[1], []]))
 
 
 def test_dominance_partial_order_exhaustive():
     for n, r in ((4, 2), (6, 2), (3, 3)):
-        b = ShapeBound.for_size(n, r)
-        mps = multipartitions(n, b)
+        mps = multipartitions(n, r)
         ge = {
             (x, y)
             for x in mps
             for y in mps
-            if dominates(x, y, b)
+            if dominates(x, y)
         }
         for x in mps:
             assert (x, x) in ge
@@ -106,29 +106,28 @@ def test_dominance_partial_order_exhaustive():
 
 def test_dominance_implies_size_vector_order():
     for n in range(7):
-        b = ShapeBound.for_size(n, 2)
-        mps = multipartitions(n, b)
+        mps = multipartitions(n, 2)
         for x in mps:
             for y in mps:
-                if dominates(x, y, b):
+                if dominates(x, y):
                     assert prefix_dominates(component_sizes(x), component_sizes(y))
 
 
 def test_enumeration_examples():
-    assert multipartitions(1, ShapeBound((1, 1))) == (
+    assert multipartitions(1, 2) == (
         mp([[1], []]),
         mp([[], [1]]),
     )
-    assert multipartitions(2, ShapeBound((2,))) == (mp([[2]]), mp([[1, 1]]))
+    assert multipartitions(2, 1) == (mp([[2]]), mp([[1, 1]]))
     # frozen from the independent convolution counter
     assert brute_multipartition_count(5, (5, 5)) == 36
-    assert len(multipartitions(5, ShapeBound((5, 5)))) == 36
+    assert len(multipartitions(5, 2)) == 36
 
 
 def test_enumeration_matches_counter_and_is_duplicate_free():
     for n, r in ((0, 2), (3, 2), (5, 2), (4, 3)):
         b = ShapeBound.for_size(n, r)
-        mps = multipartitions(n, b)
+        mps = multipartitions(n, r)
         assert len(set(mps)) == len(mps)
         assert len(mps) == brute_multipartition_count(n, b.m)
 
@@ -136,7 +135,7 @@ def test_enumeration_matches_counter_and_is_duplicate_free():
 def test_multipartitions_of_many_components():
     # Nothing recurses once per component: 1,500 components is past the
     # interpreter's default recursion limit of 1,000.
-    assert len(multipartitions(1, ShapeBound.for_size(1, 1500))) == 1500
+    assert len(multipartitions(1, 1500)) == 1500
 
 
 def test_compositions_descending_lexicographic():
@@ -151,18 +150,65 @@ def test_compositions_descending_lexicographic():
 
 def test_canonical_order_extends_dominance():
     for n, r in ((5, 2), (4, 3)):
-        b = ShapeBound.for_size(n, r)
-        mps = multipartitions(n, b)
+        mps = multipartitions(n, r)
         pos = {x: i for i, x in enumerate(mps)}
         for x in mps:
             for y in mps:
-                if x != y and dominates(x, y, b):
+                if x != y and dominates(x, y):
                     assert pos[x] < pos[y]
 
 
 def test_engine_refuses_small_bound():
     with pytest.raises(InputError):
-        multipartitions(3, ShapeBound((2, 3)))
+        multiplicity_matrix(3, ShapeBound((2, 3)))
+    with pytest.raises(InputError):
+        identity_matrix(3, ShapeBound((2, 3)))
+
+
+@pytest.mark.parametrize(
+    "n, r", [(-1, 2), (1, 0), (1, 10_001), (10_001, 1), (1.5, 1), (1, "1")]
+)
+def test_multipartitions_refuses(n, r):
+    with pytest.raises(InputError):
+        multipartitions(n, r)
+
+
+def test_multipartitions_come_in_canonical_order():
+    # Generated in canonical order, not sorted into it.
+    for r, n_max in ((1, 8), (2, 8), (3, 7), (4, 5)):
+        for n in range(n_max + 1):
+            mps = multipartitions(n, r)
+            assert list(mps) == sorted(mps, key=canonical_key), (n, r)
+
+
+def _padded(x, bound):
+    """The concatenated coordinate vector of x, each component zero-padded
+    to its cap, built by hand."""
+    rows = x.rows if isinstance(x, MultiComposition) else [c.parts for c in x.components]
+    out = []
+    for row, mk in zip(rows, bound.m):
+        assert len(row) <= mk
+        out += list(row) + [0] * (mk - len(row))
+    return out
+
+
+def test_dominates_needs_no_bound():
+    # Multipartitions and stable multicompositions of one size, compared
+    # under the stable bound and two larger ones: every bound agrees.
+    for n, r in ((4, 1), (3, 2), (2, 3)):
+        stable = ShapeBound.for_size(n, r)
+        values = multipartitions(n, r) + multicompositions(n, stable)
+        for extra in (0, 1, 2):
+            bound = ShapeBound.for_size(n + extra, r)
+            for x in values:
+                for y in values:
+                    expected = prefix_dominates(_padded(x, bound), _padded(y, bound))
+                    assert dominates(x, y) == expected, (x, y, bound)
+    # Rows of unequal length: the shorter one is padded with zeros.
+    assert dominates(mp([[2], []]), MultiComposition([(1, 1, 0), ()]))
+    assert not dominates(MultiComposition([(0, 2), ()]), mp([[1, 1], []]))
+    with pytest.raises(InputError):
+        dominates(mp([[1], []]), mp([[1]]))
 
 
 def test_group_split_examples():
@@ -178,8 +224,7 @@ def test_group_split_examples():
 def test_singleton_grouping_collapses_to_component_sizes():
     fine = Grouping([1, 1, 1])
     for n in range(6):
-        b = ShapeBound.for_size(n, 3)
-        for la in multipartitions(n, b):
+        for la in multipartitions(n, 3):
             assert group_sizes(la, fine) == component_sizes(la)
 
 
@@ -194,7 +239,7 @@ def test_cell_order_reference_chain():
 
 def test_cell_order_total_on_diagrams():
     for n in range(1, 6):
-        for la in multipartitions(n, ShapeBound.for_size(n, 2)):
+        for la in multipartitions(n, 2):
             cells = SkewShape(la).cells()
             for a in cells:
                 for b in cells:
@@ -231,8 +276,7 @@ def test_multipartition_json_roundtrip():
 
 
 def test_canonical_key_deterministic():
-    b = ShapeBound((2, 2))
-    mps = multipartitions(2, b)
+    mps = multipartitions(2, 2)
     keys = [canonical_key(x) for x in mps]
     assert keys == sorted(keys)
 
@@ -281,7 +325,7 @@ INT_SLOTS = [
     ("ShapeBound", lambda x: ShapeBound([x])),
     ("Grouping", lambda x: Grouping([x])),
     ("MultiComposition", lambda x: MultiComposition([[x]])),
-    ("IndexedMatrix", lambda x: IndexedMatrix(1, _B, multipartitions(1, _B)[:1], [[x]])),
+    ("IndexedMatrix", lambda x: IndexedMatrix(1, _B, multipartitions(1, _B.r)[:1], [[x]])),
     ("CrystalWord", lambda x: CrystalWord([[x], []], _B)),
     ("SchurExpansion", lambda x: SchurExpansion(2, 1, {mp([[1], []]): x})),
     ("MonomialPoly", lambda x: MonomialPoly(_B, 1, {MultiComposition([[1, 0], [0, 0]]): x})),

@@ -10,6 +10,7 @@ from weylchar import (
     SkewShape,
     as_composition,
     component_sizes,
+    count_straight_tableaux,
     count_tableaux,
     dominates,
     entry_le,
@@ -73,7 +74,7 @@ def test_example_tableau_is_semistandard_with_expected_weight():
 def test_superstandard_is_semistandard_and_weight_is_shape():
     for n in range(1, 5):
         b = ShapeBound.for_size(n, 2)
-        for la in multipartitions(n, b):
+        for la in multipartitions(n, 2):
             t = superstandard(la, b)
             assert is_semistandard(t)
             assert weight_of(t) == as_composition(la, b)
@@ -102,7 +103,7 @@ def test_enumerate_two_cell_example():
 def test_enumerate_shape_equals_weight_single():
     for n in range(1, 5):
         b = ShapeBound.for_size(n, 2)
-        for la in multipartitions(n, b):
+        for la in multipartitions(n, 2):
             ts = list(enumerate_tableaux(SkewShape(la), as_composition(la, b)))
             assert len(ts) == 1
             assert ts[0] == superstandard(la, b)
@@ -125,9 +126,9 @@ def test_all_tableaux_restrict_to_enumerate_tableaux():
     for r in range(1, 4):
         for n in range(1, 5):
             b = ShapeBound((min(n, 2),) * r)
-            for la in multipartitions(n, ShapeBound.for_size(n, r)):
+            for la in multipartitions(n, r):
                 inners = [mp([[]] * r)] + [
-                    ka for ka in multipartitions(1, b) if la.contains(ka)
+                    ka for ka in multipartitions(1, r) if la.contains(ka)
                 ]
                 for ka in inners:
                     shape = SkewShape(la, ka)
@@ -192,7 +193,7 @@ def test_equivalence_key_matches_component_cell_sets():
         SkewShape(la)
         for r in (1, 2)
         for n in range(4)
-        for la in multipartitions(n, ShapeBound.for_size(n, r))
+        for la in multipartitions(n, r)
     ]
     shapes.append(SkewShape(mp([[2, 1], [1]]), mp([[1], []])))
     for shape in shapes:
@@ -265,7 +266,7 @@ def test_reading_injective_within_class():
     for n in range(1, 5):
         for r in (2, 3):
             b = ShapeBound.for_size(n, r)
-            for la in multipartitions(n, b):
+            for la in multipartitions(n, r):
                 ts = list(enumerate_all_tableaux(SkewShape(la), b))
                 for cls in equivalence_classes(ts):
                     words = {reading(t) for t in cls}
@@ -288,15 +289,28 @@ def test_reading_collides_across_classes():
 def test_nonzero_count_implies_dominance():
     for n in range(1, 6):
         b = ShapeBound.for_size(n, 2)
-        for la in multipartitions(n, b):
+        for la in multipartitions(n, 2):
             for t in enumerate_all_tableaux(SkewShape(la), b):
-                assert dominates(la, weight_of(t), b)
+                assert dominates(la, weight_of(t))
+
+
+def test_count_straight_tableaux_needs_no_bound():
+    # Padding the weight to any bound it fits gives the same count.
+    for r, n_max in ((1, 5), (2, 4), (3, 3)):
+        for n in range(n_max + 1):
+            mps = multipartitions(n, r)
+            for extra in (0, 1, 3):
+                b = ShapeBound.for_size(n + extra, r)
+                for la in mps:
+                    for mu in mps:
+                        expected = count_tableaux(SkewShape(la), as_composition(mu, b))
+                        assert count_straight_tableaux(la, mu) == expected, (la, mu, b)
 
 
 def test_count_factorizes_when_size_vectors_match():
     for n in range(1, 5):
         b = ShapeBound.for_size(n, 2)
-        mps = multipartitions(n, b)
+        mps = multipartitions(n, 2)
         for la in mps:
             for mu in mps:
                 if component_sizes(la) != component_sizes(mu):
@@ -310,6 +324,6 @@ def test_count_factorizes_when_size_vectors_match():
 def test_word_letter_multiplicities_match_weight():
     for n in range(1, 5):
         b = ShapeBound.for_size(n, 2)
-        for la in multipartitions(n, b):
+        for la in multipartitions(n, 2):
             for t in enumerate_all_tableaux(SkewShape(la), b):
                 assert word_weight(reading(t)) == weight_of(t)
