@@ -14,27 +14,18 @@ import re
 import sys
 import warnings
 
-from . import branching, symfunc
 from .cache import FileCache
-from .crystal import crystal_components
 from .errors import ConsistencyError, InputError
-from .serialize import (
-    components_to_dot,
-    components_to_summary,
-    json_bytes,
-    matrix_from_obj,
-    matrix_to_obj,
-    matrix_to_tsv,
-    expansion_to_obj,
-    multipartition_from_obj,
-    residual_report_to_obj,
-    scan_report_to_obj,
-    weyl_expansion_to_obj,
-)
-from .shapes import MAX_CAP, ShapeBound, SkewShape, multipartitions
+
+# The route names of branching.METHODS, here so that building the parser
+# loads no engine code. Each command imports the engine modules it uses when
+# it runs, so a warm cache replay loads none of them.
+_ROUTES = ("singular", "chain", "solve")
 
 
 def _parse_shape(text: str, r=None):
+    from .serialize import multipartition_from_obj
+
     try:
         obj = json.loads(text)
     except ValueError as exc:  # bad JSON, or an integer of too many digits
@@ -42,7 +33,9 @@ def _parse_shape(text: str, r=None):
     return multipartition_from_obj(obj, r)
 
 
-def _parse_m(text: str) -> ShapeBound:
+def _parse_m(text: str):
+    from .shapes import MAX_CAP, ShapeBound
+
     if not re.fullmatch(r"[0-9]+(,[0-9]+)*", text):
         raise InputError(f"bad --m value {text!r}: need comma-separated integers")
     try:
@@ -52,7 +45,9 @@ def _parse_m(text: str) -> ShapeBound:
     return ShapeBound(caps)
 
 
-def _resolve_bound(args, n: int, r: int) -> ShapeBound:
+def _resolve_bound(args, n: int, r: int):
+    from .shapes import ShapeBound
+
     if args.m is not None:
         bound = _parse_m(args.m)
         if bound.r != r:
@@ -63,13 +58,23 @@ def _resolve_bound(args, n: int, r: int) -> ShapeBound:
     return bound
 
 
-def _matrix_output(mat: branching.IndexedMatrix, fmt: str) -> tuple:
+def _json(obj) -> str:
+    from .serialize import json_bytes
+
+    return json_bytes(obj).decode()
+
+
+def _matrix_output(mat, fmt: str) -> tuple:
+    from .serialize import matrix_to_obj, matrix_to_tsv
+
     if fmt == "tsv":
         return matrix_to_tsv(mat), 0
-    return json_bytes(matrix_to_obj(mat)).decode(), 0
+    return _json(matrix_to_obj(mat)), 0
 
 
 def cmd_beta(args) -> tuple:
+    from . import branching
+
     la = _parse_shape(args.lam)
     mu = _parse_shape(args.mu, la.r)
     if args.method == "all":
@@ -78,49 +83,62 @@ def cmd_beta(args) -> tuple:
             for name in branching.METHODS
         }
         agree = len(set(values.values())) == 1
-        out = json_bytes({**values, "agree": agree}).decode()
-        return out, (0 if agree else 3)
+        return _json({**values, "agree": agree}), (0 if agree else 3)
     return f"{branching.multiplicity(la, mu, method=args.method)}\n", 0
 
 
 def cmd_beta_matrix(args) -> tuple:
+    from .branching import multiplicity_matrix
+
     bound = _resolve_bound(args, args.n, args.r)
-    mat = branching.multiplicity_matrix(args.n, bound, method=args.method)
+    mat = multiplicity_matrix(args.n, bound, method=args.method)
     return _matrix_output(mat, args.format)
 
 
 def cmd_character(args) -> tuple:
+    from .serialize import expansion_to_obj
+    from .symfunc import character
+
     la = _parse_shape(args.lam)
     bound = _resolve_bound(args, la.size, la.r)
-    poly = symfunc.character(la, bound)
-    return json_bytes(expansion_to_obj(poly)).decode(), 0
+    return _json(expansion_to_obj(character(la, bound))), 0
 
 
 def cmd_tilde(args) -> tuple:
-    exp = symfunc.weyl_schur(_parse_shape(args.lam))
-    return json_bytes(expansion_to_obj(exp)).decode(), 0
+    from .serialize import expansion_to_obj
+    from .symfunc import weyl_schur
+
+    return _json(expansion_to_obj(weyl_schur(_parse_shape(args.lam)))), 0
 
 
 def cmd_cmul(args) -> tuple:
+    from .serialize import weyl_expansion_to_obj
+    from .symfunc import structure_constants
+
     la = _parse_shape(args.lam)
     mu = _parse_shape(args.mu, la.r)
-    exp = symfunc.structure_constants(la, mu)
-    return json_bytes(weyl_expansion_to_obj(exp)).decode(), 0
+    return _json(weyl_expansion_to_obj(structure_constants(la, mu))), 0
 
 
 def cmd_conjecture_scan(args) -> tuple:
-    report = symfunc.scan_structure_constants(args.n_max, args.r)
-    return json_bytes(scan_report_to_obj(report)).decode(), 0
+    from .serialize import scan_report_to_obj
+    from .symfunc import scan_structure_constants
+
+    report = scan_structure_constants(args.n_max, args.r)
+    return _json(scan_report_to_obj(report)), 0
 
 
 def cmd_crystal_graph(args) -> tuple:
+    from .crystal import crystal_components
+    from .serialize import components_to_dot, components_to_summary
+    from .shapes import SkewShape
+
     la = _parse_shape(args.lam)
     inner = _parse_shape(args.inner, la.r) if args.inner is not None else None
     bound = _resolve_bound(args, la.size, la.r)
-    shape = SkewShape(la, inner)
-    comps = crystal_components(shape, bound)
+    comps = crystal_components(SkewShape(la, inner), bound)
     if args.format == "json":
-        return json_bytes(components_to_summary(comps)).decode(), 0
+        return _json(components_to_summary(comps)), 0
     return components_to_dot(comps), 0
 
 
@@ -140,7 +158,9 @@ def _read_matrix_files(args) -> dict:
     return texts
 
 
-def _load_matrix(args, name: str) -> branching.IndexedMatrix:
+def _load_matrix(args, name: str):
+    from .serialize import matrix_from_obj
+
     try:
         obj = json.loads(args.texts[name])
     except ValueError as exc:
@@ -149,6 +169,10 @@ def _load_matrix(args, name: str) -> branching.IndexedMatrix:
 
 
 def cmd_factorize(args) -> tuple:
+    from . import branching
+    from .serialize import residual_report_to_obj
+    from .shapes import multipartitions
+
     if args.x is not None and args.d is None:
         raise InputError("--X is only meaningful with --D (residual report)")
     if args.d is not None and args.format != "json":
@@ -170,7 +194,7 @@ def cmd_factorize(args) -> tuple:
             xmat = branching.IndexedMatrix(dbar.n, dbar.bound, dbar.order, unit)
         dmat = _load_matrix(args, "d")
         report = branching.factorization_residual(bmat, dbar, xmat, dmat)
-        return json_bytes(residual_report_to_obj(report)).decode(), 0
+        return _json(residual_report_to_obj(report)), 0
     return _matrix_output(branching.derive_decomposition(bmat, dbar), args.format)
 
 
@@ -211,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", required=True, help="weight shape, JSON")
     p.add_argument(
         "--method",
-        choices=list(branching.METHODS) + ["all"],
+        choices=list(_ROUTES) + ["all"],
         default="chain",
     )
     _add_common(p)
@@ -219,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("beta-matrix", "full multiplicity matrix")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True, help="number of components")
-    p.add_argument("--method", choices=list(branching.METHODS), default="chain")
+    p.add_argument("--method", choices=list(_ROUTES), default="chain")
     p.add_argument("--format", choices=["json", "tsv"], default="json")
     _add_bound(p)
     _add_common(p)

@@ -109,9 +109,12 @@ class ShapeBound(Frozen):
 
     @classmethod
     def for_size(cls, n: int, r: int) -> "ShapeBound":
-        """Default bound m_k = n (m_k = 1 for n = 0), the stable regime."""
+        """Default bound m_k = n (m_k = 1 for n = 0), the stable regime. Refuses
+        r or n above MAX_CAP."""
         if r > MAX_CAP:
             raise InputError(f"more than {MAX_CAP} components")
+        if n > MAX_CAP:
+            raise InputError(f"size n={n} is above {MAX_CAP}")
         return cls((max(n, 1),) * r)
 
     @property
@@ -387,7 +390,9 @@ def canonical_key(la: MultiPartition) -> tuple:
     return tuple(-c.size for c in comps) + tuple(-x for c in comps for x in c.parts)
 
 
-@cache
+# typed=True: 1.0 and 1 are equal keys, so an untyped memo would answer
+# multipartitions(1.0, 1) from multipartitions(1, 1) instead of refusing it.
+@lru_cache(maxsize=None, typed=True)
 def multipartitions(n: int, r: int) -> tuple:
     """All r-multipartitions of n. They are generated in canonical order (size
     vectors, then components, descending lexicographic), so none is sorted."""

@@ -284,6 +284,38 @@ def test_readme_option_table_matches_parser():
     assert documented == parsed
 
 
+def test_method_choices_are_the_routes():
+    # The parser holds its own copy of the route names, so that it loads no
+    # engine code; it must stay the engine's list.
+    from weylchar import branching
+
+    [sub] = [
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+
+    def choices(command):
+        [action] = [a for a in sub.choices[command]._actions if a.dest == "method"]
+        return action.choices
+
+    assert choices("beta-matrix") == list(branching.METHODS)
+    assert choices("beta") == list(branching.METHODS) + ["all"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("conjecture-scan", "--n-max", "10001", "--r", "1"), "size n=10001 is above 10000"),
+        (("beta-matrix", "--n", "10001", "--r", "1"), "size n=10001 is above 10000"),
+        (("beta-matrix", "--n", "2", "--r", "1", "--m", "10001"), "bound has a cap above 10000"),
+    ],
+    ids=["scan-size", "matrix-size", "m-cap"],
+)
+def test_refusal_above_max_cap_names_what_was_passed(argv, message, capsys):
+    code, out, err = run(capsys, *argv)
+    assert_one_error(code, out, err)
+    assert message in err
+
+
 def test_factorize_residual_non_canonical_order(tmp_path, capsys):
     # The default X must follow the order of Dbar, not the canonical one.
     code, bmat_out, _ = run(capsys, "beta-matrix", "--n", "2", "--r", "2")

@@ -173,6 +173,23 @@ def test_multipartitions_refuses(n, r):
         multipartitions(n, r)
 
 
+def test_size_above_max_cap_is_named():
+    # The refusal names the size the caller passed, not a bound it never did.
+    for call in (lambda: ShapeBound.for_size(10_001, 1), lambda: multipartitions(10_001, 1)):
+        with pytest.raises(InputError, match="size n=10001 is above 10000"):
+            call()
+    with pytest.raises(InputError, match="bound has a cap above 10000"):
+        ShapeBound([10_001])
+
+
+def test_multipartitions_refusal_does_not_depend_on_call_history():
+    # 1.0 == 1 and they hash equal, so an untyped memo would replay the
+    # answer for 1 to the float.
+    assert multipartitions(1, 1) == (MultiPartition([[1]]),)
+    with pytest.raises(InputError):
+        multipartitions(1.0, 1)
+
+
 def test_multipartitions_come_in_canonical_order():
     # Generated in canonical order, not sorted into it.
     for r, n_max in ((1, 8), (2, 8), (3, 7), (4, 5)):
