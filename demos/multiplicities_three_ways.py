@@ -11,8 +11,7 @@ from weylchar import (
     MultiPartition,
     ShapeBound,
     multipartitions,
-    multiplicity_by_chains,
-    multiplicity_by_singular,
+    multiplicity,
     multiplicity_matrix,
     multiplicity_row_by_solve,
 )
@@ -31,8 +30,8 @@ print(f"\nMultiplicity row of {la}:")
 print(f"{'weight':>22}  singular  chain  solve")
 solve_row = multiplicity_row_by_solve(la)
 for mu in multipartitions(n, r):
-    s = multiplicity_by_singular(la, mu)
-    c = multiplicity_by_chains(la, mu)
+    s = multiplicity(la, mu, method="singular")
+    c = multiplicity(la, mu, method="chain")
     v = solve_row[mu]
     assert s == c == v
     print(f"{str(mu):>22}  {s:>8}  {c:>5}  {v:>5}")

@@ -33,9 +33,7 @@ _EXPORTS = {
         "IndexedMatrix", "derive_decomposition", "factorization_residual",
         "grouping_factorization_check", "identity_matrix", "invert_unitriangular",
         "kostka", "layer_chains", "lr_coeff", "matrix_product", "multiplicity",
-        "multiplicity_by_chains", "multiplicity_by_singular",
-        "multiplicity_by_solve", "multiplicity_matrix",
-        "multiplicity_row_by_solve", "skew_singular_count",
+        "multiplicity_matrix", "multiplicity_row_by_solve", "skew_singular_count",
     ),
     "symfunc": (
         "MonomialPoly", "SchurExpansion", "character", "scan_structure_constants",

@@ -171,28 +171,13 @@ def skew_singular_count(shape: SkewShape, comp: int, weight_row: tuple) -> int:
     return _lattice_count(right, above, weight_row)
 
 
-def _prepare(la: MultiPartition, mu: MultiPartition) -> None:
-    """The checks every route shares. No route takes a bound: a multiplicity
-    is the same under every bound of the stable regime m_k >= n, the only
-    regime the engine accepts."""
-    if la.r != mu.r:
-        raise InputError("component counts disagree")
-    if la.size != mu.size:
-        raise InputError(f"sizes disagree: {la.size} vs {mu.size}")
-
-
 @cache
 def _singular_value(la: MultiPartition, mu: MultiPartition) -> int:
+    """Count singular semistandard fillings of shape la with weight mu."""
     weight = as_composition(mu, ShapeBound.for_size(la.size, la.r))
     return sum(
         1 for t in enumerate_tableaux(SkewShape(la), weight) if is_singular(t)
     )
-
-
-def multiplicity_by_singular(la: MultiPartition, mu: MultiPartition) -> int:
-    """Count singular semistandard fillings of shape la with weight mu."""
-    _prepare(la, mu)
-    return _singular_value(la, mu)
 
 
 @cache
@@ -221,6 +206,7 @@ def layer_chains(la: MultiPartition, sizes: tuple) -> Iterator[tuple]:
     down, each partial chain extended in list order, so they come in
     lexicographic order of their levels from levels[r-1] down.
     """
+    sizes = ints(sizes)
     if len(sizes) != la.r:
         raise InputError("component counts disagree")
     if sum(sizes) != la.size:
@@ -251,7 +237,6 @@ def layer_chains(la: MultiPartition, sizes: tuple) -> Iterator[tuple]:
 def _chain_layers(la: MultiPartition, sizes: tuple) -> tuple:
     """The row block of (la, sizes): per slicing, its skew layers from
     component r-1 down to component 0."""
-    ShapeBound.for_size(la.size, la.r)  # refuses a size or r above MAX_CAP
     return tuple(
         tuple(SkewShape(levels[k], levels[k - 1]) for k in range(la.r, 0, -1))
         for levels in layer_chains(la, sizes)
@@ -260,6 +245,7 @@ def _chain_layers(la: MultiPartition, sizes: tuple) -> tuple:
 
 @cache
 def _chain_value(la: MultiPartition, mu: MultiPartition) -> int:
+    """Sum over layer slicings of products of singular skew counts."""
     rows = [c.parts for c in mu.components]
     total = 0
     for layers in _chain_layers(la, tuple(map(sum, rows))):
@@ -272,14 +258,9 @@ def _chain_value(la: MultiPartition, mu: MultiPartition) -> int:
     return total
 
 
-def multiplicity_by_chains(la: MultiPartition, mu: MultiPartition) -> int:
-    """Sum over layer slicings of products of singular skew counts."""
-    _prepare(la, mu)
-    return _chain_value(la, mu)
-
-
 @cache
 def _solve_row(la: MultiPartition) -> dict:
+    """The multiplicity row of la from the unitriangular Kostka system."""
     row: dict = {}
     for mu in multipartitions(la.size, la.r):
         t = count_straight_tableaux(la, mu)
@@ -307,25 +288,24 @@ def multiplicity_row_by_solve(la: MultiPartition) -> dict:
     return dict(_solve_row(la))
 
 
-def multiplicity_by_solve(la: MultiPartition, mu: MultiPartition) -> int:
-    _prepare(la, mu)
-    return _solve_row(la)[mu]
-
-
-_DISPATCH = {
-    "singular": multiplicity_by_singular,
-    "chain": multiplicity_by_chains,
-    "solve": multiplicity_by_solve,
-}
-
-
 def multiplicity(la: MultiPartition, mu: MultiPartition, *, method: str = "chain") -> int:
-    """Branching multiplicity of the weight mu summand inside shape la."""
-    try:
-        fn = _DISPATCH[method]
-    except (KeyError, TypeError):  # an unknown or an unhashable method
+    """Branching multiplicity of the weight mu summand inside shape la, by
+    the named route. No route takes a bound: a multiplicity is the same
+    under every bound of the stable regime m_k >= n, the only regime the
+    engine accepts."""
+    if method not in METHODS:
         raise InputError(f"unknown method {method!r}; pick from {METHODS}")
-    return fn(la, mu)
+    if not (isinstance(la, MultiPartition) and isinstance(mu, MultiPartition)):
+        raise InputError(f"expected two MultiPartition values, got {la!r} and {mu!r}")
+    if la.r != mu.r:
+        raise InputError("component counts disagree")
+    if la.size != mu.size:
+        raise InputError(f"sizes disagree: {la.size} vs {mu.size}")
+    if method == "chain":
+        return _chain_value(la, mu)
+    if method == "singular":
+        return _singular_value(la, mu)
+    return _solve_row(la)[mu]
 
 
 # ---------------------------------------------------------------------------

@@ -90,8 +90,16 @@ class Partition(Frozen):
 EMPTY = Partition()
 
 
-# The largest cap m_k, and the largest component count of a default bound.
+# The largest cap m_k, and the largest size and component count of a
+# multipartition or a default bound.
 MAX_CAP = 10_000
+
+
+def _refuse_above_cap(n: int, r: int) -> None:
+    if r > MAX_CAP:
+        raise InputError(f"more than {MAX_CAP} components")
+    if n > MAX_CAP:
+        raise InputError(f"size n={n} is above {MAX_CAP}")
 
 
 class ShapeBound(Frozen):
@@ -110,11 +118,10 @@ class ShapeBound(Frozen):
     @classmethod
     def for_size(cls, n: int, r: int) -> "ShapeBound":
         """Default bound m_k = n (m_k = 1 for n = 0), the stable regime. Refuses
-        r or n above MAX_CAP."""
-        if r > MAX_CAP:
-            raise InputError(f"more than {MAX_CAP} components")
-        if n > MAX_CAP:
-            raise InputError(f"size n={n} is above {MAX_CAP}")
+        r below 1 and r or n above MAX_CAP."""
+        if r < 1:
+            raise InputError(f"need r >= 1, got r={r}")
+        _refuse_above_cap(n, r)
         return cls((max(n, 1),) * r)
 
     @property
@@ -137,7 +144,7 @@ class ShapeBound(Frozen):
 
 
 class MultiPartition(Frozen):
-    """An r-tuple of partitions."""
+    """An r-tuple of partitions, of size and r at most MAX_CAP."""
 
     __slots__ = ("components", "size", "_h")
 
@@ -147,8 +154,10 @@ class MultiPartition(Frozen):
         )
         if not comps:
             raise InputError("need at least one component")
+        size = sum(c.size for c in comps)
+        _refuse_above_cap(size, len(comps))
         object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "size", sum(c.size for c in comps))
+        object.__setattr__(self, "size", size)
         object.__setattr__(self, "_h", hash(comps))
 
     @classmethod

@@ -167,6 +167,8 @@ def count_tableaux(shape: SkewShape, weight: MultiComposition) -> int:
 def count_straight_tableaux(la: MultiPartition, mu: MultiPartition) -> int:
     """Tableau count for a straight shape with a multipartition weight; every
     bound mu fits gives it, so mu is padded to the stable bound of la."""
+    if la.r != mu.r:
+        raise InputError("component counts disagree")
     bound = ShapeBound.for_size(la.size, la.r)
     return count_tableaux(SkewShape(la), as_composition(mu, bound))
 

@@ -37,8 +37,6 @@ from weylchar import (
     multicompositions,
     multipartitions,
     multiplicity,
-    multiplicity_by_chains,
-    multiplicity_by_singular,
     multiplicity_matrix,
     multiplicity_row_by_solve,
     operator_indices,
@@ -84,8 +82,8 @@ def test_criterion_01_triple_oracle():
         for la in mps:
             solve_row = multiplicity_row_by_solve(la)
             for mu in mps:
-                s = multiplicity_by_singular(la, mu)
-                c = multiplicity_by_chains(la, mu)
+                s = multiplicity(la, mu, method="singular")
+                c = multiplicity(la, mu, method="chain")
                 v = solve_row[mu]
                 assert s == c == v, (la, mu, s, c, v)
                 checked += 1
@@ -160,7 +158,7 @@ def test_criterion_05_dimension_identity():
                 for nu in mps:
                     if component_sizes(nu) != component_sizes(mu):
                         continue  # a Kostka factor vanishes
-                    v = multiplicity_by_chains(la, nu)
+                    v = multiplicity(la, nu, method="chain")
                     if not v:
                         continue
                     prod = 1
@@ -183,7 +181,7 @@ def test_criterion_06_character_dual():
                 by_sizes.setdefault(component_sizes(mu), []).append(mu)
             for la in mps:
                 row = {
-                    nu: multiplicity_by_chains(la, nu)
+                    nu: multiplicity(la, nu, method="chain")
                     for nu in mps
                 }
                 # route one: per-weight Kostka products

@@ -26,9 +26,6 @@ from weylchar import (
     lr_coeff,
     matrix_product,
     multiplicity,
-    multiplicity_by_chains,
-    multiplicity_by_singular,
-    multiplicity_by_solve,
     multiplicity_matrix,
     multiplicity_row_by_solve,
     multipartitions,
@@ -191,6 +188,11 @@ def test_layer_chains_examples():
     assert list(layer_chains(mp([[], [2]]), tuple(c.size for c in mp([[2], []]).components))) == []
 
 
+def test_layer_chains_refuses_non_integer_sizes():
+    with pytest.raises(InputError, match="expected integers"):
+        layer_chains(mp([[1], [1]]), (1.0, 1))
+
+
 def test_layer_chains_match_brute_force():
     # Every documented chain, and each one once.
     for r in range(1, 4):
@@ -259,8 +261,8 @@ def test_three_routes_agree_small():
         for la in mps:
             row = multiplicity_row_by_solve(la)
             for mu in mps:
-                s = multiplicity_by_singular(la, mu)
-                c = multiplicity_by_chains(la, mu)
+                s = multiplicity(la, mu, method="singular")
+                c = multiplicity(la, mu, method="chain")
                 assert s == c == row[mu], (la, mu)
 
 
@@ -293,6 +295,22 @@ def test_unknown_method():
 def test_method_that_is_not_a_name(method):
     with pytest.raises(InputError, match="unknown method"):
         multiplicity(mp([[1]]), mp([[1]]), method=method)
+
+
+@pytest.mark.parametrize("method", ["singular", "chain", "solve"])
+def test_multiplicity_refusals_in_order(method):
+    # The method first, then the argument types, then r, then the size.
+    la = mp([[1], []])
+    for args, kwargs, message in (
+        ((la, la), {"method": "guess"}, "unknown method"),
+        (([[1]], [[1]]), {"method": "guess"}, "unknown method"),
+        (([[1]], [[1]]), {"method": method}, "expected two MultiPartition"),
+        ((la, [[1], []]), {"method": method}, "expected two MultiPartition"),
+        ((la, mp([[1]])), {"method": method}, "component counts disagree"),
+        ((mp([[2], []]), la), {"method": method}, "sizes disagree"),
+    ):
+        with pytest.raises(InputError, match=message):
+            multiplicity(*args, **kwargs)
 
 
 def test_solve_row_r1_is_indicator():
@@ -344,9 +362,6 @@ def test_matrices_are_the_same_under_every_stable_bound():
 def test_multiplicity_layer_takes_no_bound():
     for fn in (
         multiplicity,
-        multiplicity_by_singular,
-        multiplicity_by_chains,
-        multiplicity_by_solve,
         multiplicity_row_by_solve,
         weyl_schur,
         grouping_factorization_check,

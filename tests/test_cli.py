@@ -316,6 +316,44 @@ def test_refusal_above_max_cap_names_what_was_passed(argv, message, capsys):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("conjecture-scan", "--n-max", "2", "--r", "0"),
+        ("conjecture-scan", "--n-max", "2", "--r", "-1"),
+        ("beta-matrix", "--n", "2", "--r", "0"),
+    ],
+    ids=["scan-r0", "scan-r-1", "matrix-r0"],
+)
+def test_r_below_1_is_named(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert_one_error(code, out, err)
+    assert f"need r >= 1, got r={argv[-1]}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, entry",
+    [
+        (("tilde", "--lambda", "[[9223372036854775808]]"), "weyl_schur"),
+        (("cmul", "--lambda", "[[9223372036854775808]]", "--mu", "[[1]]"), "structure_constants"),
+        (("character", "--lambda", "[[9223372036854775808]]"), "character"),
+    ],
+    ids=["tilde", "cmul", "character"],
+)
+def test_part_above_max_cap_refused_at_parse(argv, entry, capsys, monkeypatch):
+    # Reading the shape refuses its size; the engine is never entered.
+    from weylchar import symfunc
+
+    def entered(*args, **kwargs):
+        raise AssertionError(f"{entry} was called")
+
+    monkeypatch.delenv("WEYLCHAR_CACHE", raising=False)
+    monkeypatch.setattr(symfunc, entry, entered)
+    code, out, err = run(capsys, *argv)
+    assert_one_error(code, out, err)
+    assert "size n=9223372036854775808 is above 10000" in err
+
+
 def test_factorize_residual_non_canonical_order(tmp_path, capsys):
     # The default X must follow the order of Dbar, not the canonical one.
     code, bmat_out, _ = run(capsys, "beta-matrix", "--n", "2", "--r", "2")

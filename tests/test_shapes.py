@@ -182,6 +182,22 @@ def test_size_above_max_cap_is_named():
         ShapeBound([10_001])
 
 
+def test_multipartition_refuses_size_or_r_above_max_cap():
+    # The value type holds the cap, so no enumerator meets a size it refuses.
+    with pytest.raises(InputError, match="size n=10001 is above 10000"):
+        MultiPartition([[10_001]])
+    with pytest.raises(InputError, match="more than 10000 components"):
+        MultiPartition([[]] * 10_001)
+    assert MultiPartition([[10_000]]).size == MultiPartition([[]] * 10_000).r == 10_000
+
+
+@pytest.mark.parametrize("r", [0, -1])
+def test_default_bound_refuses_r_below_1(r):
+    # The refusal names the r the caller passed, not the empty bound.
+    with pytest.raises(InputError, match=f"need r >= 1, got r={r}"):
+        ShapeBound.for_size(2, r)
+
+
 def test_multipartitions_refusal_does_not_depend_on_call_history():
     # 1.0 == 1 and they hash equal, so an untyped memo would replay the
     # answer for 1 to the float.

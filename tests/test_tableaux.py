@@ -307,6 +307,11 @@ def test_count_straight_tableaux_needs_no_bound():
                         assert count_straight_tableaux(la, mu) == expected, (la, mu, b)
 
 
+def test_count_straight_tableaux_refuses_unequal_r():
+    with pytest.raises(InputError, match="component counts disagree"):
+        count_straight_tableaux(MultiPartition([[1], [1]]), MultiPartition([[1]]))
+
+
 def test_count_factorizes_when_size_vectors_match():
     for n in range(1, 5):
         b = ShapeBound.for_size(n, 2)
