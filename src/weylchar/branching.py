@@ -8,8 +8,11 @@ The three routes:
   * chain    -- slice the shape into nested skew layers, one per component
     of the weight, and multiply singular skew counts over each slicing; the
     slicings depend on the weight's size vector only, so they are built once
-    per row block (shape, size vector) and every entry of the block reads
-    them;
+    per row block (shape, size vector), indexed by their innermost level,
+    and an entry reads only the slicings whose innermost level is its own
+    component 0. The levels under a level and each distinct layer are
+    memoized, so blocks share them and the skew-count memo finds a layer
+    by identity;
   * solve    -- solve the unitriangular linear system that expresses tableau
     counts through Kostka numbers.
 All arithmetic is exact integer arithmetic.
@@ -17,7 +20,6 @@ All arithmetic is exact integer arithmetic.
 
 import warnings
 from functools import cache, lru_cache
-from itertools import product as iproduct
 from typing import Iterator
 
 from .errors import ConsistencyError, InputError
@@ -194,6 +196,43 @@ def _subpartitions(p: Partition) -> tuple:
     return tuple(map(Partition, subs))
 
 
+def _sized_picks(pools: list, target: int) -> list:
+    """Every tuple of one item per pool whose sizes sum to target, in the
+    order itertools.product gives.
+
+    The tuples grow one pool at a time, each partial tuple extended in list
+    order, so no stack frame is taken per pool. An item is taken only when
+    the pools after it can still make up the rest of the target.
+    """
+    # Together the pools j.. take between lo[j] and hi[j] cells.
+    lo, hi = [0], [0]
+    for pool in reversed(pools):
+        sizes = [q.size for q in pool]
+        lo.append(lo[-1] + min(sizes, default=0))
+        hi.append(hi[-1] + max(sizes, default=0))
+    lo.reverse()
+    hi.reverse()
+    partial = [((), target)] if lo[0] <= target <= hi[0] else []
+    for j, pool in enumerate(pools):
+        partial = [
+            (picks + (q,), need - q.size)
+            for picks, need in partial
+            for q in pool
+            if lo[j + 1] <= need - q.size <= hi[j + 1]
+        ]
+    return [picks for picks, _ in partial]
+
+
+@cache
+def _lower_levels(level: MultiPartition, k: int, target: int) -> tuple:
+    """Every level that fits under level as levels[k-1] of a slicing: of
+    size target, its components 0..k-2 inside those of level, the rest
+    empty. In the product order of the _subpartitions pools."""
+    pools = [_subpartitions(level.component(j)) for j in range(k - 1)]
+    pad = (EMPTY,) * (level.r - k + 1)
+    return tuple(MultiPartition(inner + pad) for inner in _sized_picks(pools, target))
+
+
 def layer_chains(la: MultiPartition, sizes: tuple) -> Iterator[tuple]:
     """All slicings of la into nested layers of the given sizes.
 
@@ -204,43 +243,53 @@ def layer_chains(la: MultiPartition, sizes: tuple) -> Iterator[tuple]:
     components past k, and the layer from levels[k] to levels[k+1] has
     exactly sizes[k] cells. The chains are built level by level from la
     down, each partial chain extended in list order, so they come in
-    lexicographic order of their levels from levels[r-1] down.
+    lexicographic order of their levels from levels[r-1] down. The levels
+    under one level are memoized, so every block that reaches a level
+    shares them.
     """
+    if not isinstance(la, MultiPartition):
+        raise InputError(f"expected a MultiPartition, got {la!r}")
     sizes = ints(sizes)
     if len(sizes) != la.r:
         raise InputError("component counts disagree")
     if sum(sizes) != la.size:
         raise InputError(f"sizes disagree: {la.size} vs {sum(sizes)}")
-    r = la.r
     chains = [(la,)]
-    for k in range(r, 0, -1):
-        # chain[0] plays levels[k]; the new front is levels[k-1], whose
-        # components from k-1 on are empty.
-        pad = (EMPTY,) * (r - k + 1)
-        extended = []
-        for chain in chains:
-            current = chain[0]
-            target = current.size - sizes[k - 1]
-            pools = [_subpartitions(current.component(j)) for j in range(k - 1)]
-            for inner in iproduct(*pools):
-                if sum(q.size for q in inner) == target:
-                    extended.append((MultiPartition(inner + pad),) + chain)
-        chains = extended
+    for k in range(la.r, 0, -1):
+        # chain[0] plays levels[k]; the new front is levels[k-1].
+        chains = [
+            (lower,) + chain
+            for chain in chains
+            for lower in _lower_levels(chain[0], k, chain[0].size - sizes[k - 1])
+        ]
     return iter(chains)
 
 
-# One entry suffices: multipartitions sorts by size vector first, so every
-# reader of a row (multiplicity_matrix, symfunc.weyl_schur, and
-# symfunc._basis_change through multiplicity_matrix) reads each block in one
-# run.
+@cache
+def _layer(outer: MultiPartition, inner: MultiPartition) -> SkewShape:
+    """The layer outer/inner, one object per distinct layer, so the memo of
+    skew_singular_count finds it by identity, not by comparing copies."""
+    return SkewShape(outer, inner)
+
+
+# The component-0 layer of a slicing is its straight innermost level eta =
+# levels[1], filled by alphabet 0 alone. Its singular count c^eta_{0,nu} is
+# 1 when eta is mu's component 0 = nu and 0 otherwise, so each block keeps
+# its slicings grouped by the parts of eta, and an entry reads only the
+# group of its own component 0. There that factor is 1; it is still
+# counted, like every other layer. One block entry suffices:
+# multipartitions sorts by size vector first, so every reader of a row
+# (multiplicity_matrix, symfunc.weyl_schur, and symfunc._basis_change
+# through multiplicity_matrix) reads each block in one run.
 @lru_cache(maxsize=1)
-def _chain_layers(la: MultiPartition, sizes: tuple) -> tuple:
-    """The row block of (la, sizes): per slicing, its skew layers from
-    component r-1 down to component 0."""
-    return tuple(
-        tuple(SkewShape(levels[k], levels[k - 1]) for k in range(la.r, 0, -1))
-        for levels in layer_chains(la, sizes)
-    )
+def _chain_layers(la: MultiPartition, sizes: tuple) -> dict:
+    """The row block of (la, sizes): the parts of each innermost level, mapped
+    to its slicings, each slicing as its skew layers from component 0 up."""
+    groups: dict = {}
+    for levels in layer_chains(la, sizes):
+        layers = tuple(_layer(levels[k + 1], levels[k]) for k in range(la.r))
+        groups.setdefault(levels[1].component(0).parts, []).append(layers)
+    return {eta: tuple(slicings) for eta, slicings in groups.items()}
 
 
 @cache
@@ -248,9 +297,9 @@ def _chain_value(la: MultiPartition, mu: MultiPartition) -> int:
     """Sum over layer slicings of products of singular skew counts."""
     rows = [c.parts for c in mu.components]
     total = 0
-    for layers in _chain_layers(la, tuple(map(sum, rows))):
+    for layers in _chain_layers(la, tuple(map(sum, rows))).get(rows[0], ()):
         product = 1
-        for k, shape in zip(range(la.r - 1, -1, -1), layers):
+        for k, shape in enumerate(layers):
             product *= skew_singular_count(shape, k, rows[k])
             if not product:
                 break
@@ -285,6 +334,8 @@ def multiplicity_row_by_solve(la: MultiPartition) -> dict:
     minus the contributions of the earlier rows, using that the Kostka
     matrix is unitriangular along that order.
     """
+    if not isinstance(la, MultiPartition):
+        raise InputError(f"expected a MultiPartition, got {la!r}")
     return dict(_solve_row(la))
 
 
@@ -444,6 +495,10 @@ def grouping_factorization_check(
     Requires equal grouped size vectors; returns (equal, full value, product
     of group values), each group evaluated in its own smaller engine.
     """
+    if not (isinstance(la, MultiPartition) and isinstance(mu, MultiPartition)):
+        raise InputError(f"expected two MultiPartition values, got {la!r} and {mu!r}")
+    if not isinstance(grouping, Grouping):
+        raise InputError(f"expected a Grouping, got {grouping!r}")
     las = split_components(la, grouping)
     mus = split_components(mu, grouping)
     if tuple(x.size for x in las) != tuple(x.size for x in mus):

@@ -128,7 +128,6 @@ def schur_to_monomials(la: MultiPartition, bound: ShapeBound) -> MonomialPoly:
     return MonomialPoly(bound, la.size, terms)
 
 
-@cache
 def weyl_schur(la: MultiPartition) -> SchurExpansion:
     """The Weyl-module character written in the Schur-product basis.
 
@@ -136,6 +135,13 @@ def weyl_schur(la: MultiPartition) -> SchurExpansion:
     expansion is unitriangular against the Schur basis. Memoized: each la
     has one expansion.
     """
+    if not isinstance(la, MultiPartition):
+        raise InputError(f"expected a MultiPartition, got {la!r}")
+    return _weyl_schur(la)
+
+
+@cache
+def _weyl_schur(la: MultiPartition) -> SchurExpansion:
     row = {mu: _chain_value(la, mu) for mu in multipartitions(la.size, la.r)}
     return SchurExpansion(la.r, la.size, row)
 

@@ -167,6 +167,8 @@ def count_tableaux(shape: SkewShape, weight: MultiComposition) -> int:
 def count_straight_tableaux(la: MultiPartition, mu: MultiPartition) -> int:
     """Tableau count for a straight shape with a multipartition weight; every
     bound mu fits gives it, so mu is padded to the stable bound of la."""
+    if not (isinstance(la, MultiPartition) and isinstance(mu, MultiPartition)):
+        raise InputError(f"expected two MultiPartition values, got {la!r} and {mu!r}")
     if la.r != mu.r:
         raise InputError("component counts disagree")
     bound = ShapeBound.for_size(la.size, la.r)

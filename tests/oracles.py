@@ -249,6 +249,51 @@ def brute_layer_chains(la, sizes):
     return out
 
 
+def product_filter_layer_chains(la, sizes):
+    """The chains of brute_layer_chains as a list, in the order of the
+    original enumeration: level by level from la down, every partial chain
+    extended, in list order, by each choice from the full product of the
+    sub-diagram lists of its components, filtered by size.
+
+    Each sub-diagram list is in descending lexicographic order. la is a list
+    of r partitions given as lists; levels come back as tuples of tuples.
+    """
+    from itertools import product
+
+    r = len(la)
+    chains = [(tuple(tuple(c) for c in la),)]
+    for k in range(r, 0, -1):
+        extended = []
+        for chain in chains:
+            current = chain[0]
+            target = sum(map(sum, current)) - sizes[k - 1]
+            pools = [sorted(brute_subdiagrams(c), reverse=True) for c in current[: k - 1]]
+            for inner in product(*pools):
+                if sum(map(sum, inner)) == target:
+                    extended.append((inner + ((),) * (r - k + 1),) + chain)
+        chains = extended
+    return chains
+
+
+def unindexed_chain_sum(la, mu, count):
+    """The chain-route multiplicity of (la, mu) summed over every slicing of
+    brute_layer_chains, each the product over all components k of
+    count(outer, inner, k, weight_row) for its layer levels[k+1]/levels[k]
+    with mu's row k, component 0 included.
+
+    la and mu are lists of r partitions given as lists; count gets levels
+    as tuples of tuples and the row as a tuple.
+    """
+    rows = [tuple(c) for c in mu]
+    total = 0
+    for levels in brute_layer_chains(la, [sum(row) for row in rows]):
+        product = 1
+        for k, row in enumerate(rows):
+            product *= count(levels[k + 1], levels[k], k, row)
+        total += product
+    return total
+
+
 def naive_scan(n_max, r, index, constants):
     """The conjecture-scan report with one product per ordered pair.
 

@@ -1,6 +1,7 @@
 import inspect
 import random
 import sys
+from itertools import product as iproduct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,10 +34,17 @@ from weylchar import (
     skew_singular_count,
     weyl_schur,
 )
-from weylchar.branching import IndexedMatrix, _chain_value, _subpartitions
-from weylchar.shapes import canonical_key, compositions_of
+from weylchar.branching import IndexedMatrix, _chain_value, _sized_picks, _subpartitions
+from weylchar.shapes import EMPTY, canonical_key, compositions_of
 
-from oracles import brute_layer_chains, brute_lr, brute_ssyt_count, brute_subdiagrams
+from oracles import (
+    brute_layer_chains,
+    brute_lr,
+    brute_ssyt_count,
+    brute_subdiagrams,
+    product_filter_layer_chains,
+    unindexed_chain_sum,
+)
 
 
 def mp(rows):
@@ -219,15 +227,23 @@ def test_subpartitions_descending():
 
 def test_chain_route_needs_no_stack_per_component():
     # Enumerating chains takes no stack frame per component, so a shape with
-    # far more components than the spare stack still works.
+    # far more components than the spare stack still works. So does the walk
+    # of 200 pools of a cell or nothing with a target of 1, and the one chain
+    # of [[1]] * 200, where each level's walk takes all but one cell above it.
     la = mp([[1]] + [[]] * 199)
+    ones = mp([[1]] * 200)
+    cell = Partition([1])
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 60)
     try:
         assert len(list(layer_chains(la, tuple(c.size for c in la.components)))) == 1
         assert multiplicity(la, la, method="chain") == 1
+        picks = _sized_picks([(cell, EMPTY)] * 200, 1)
+        chains = list(layer_chains(ones, (1,) * 200))
     finally:
         sys.setrecursionlimit(limit)
+    assert picks == [tuple(cell if i == j else EMPTY for i in range(200)) for j in range(200)]
+    assert [[level.size for level in chain] for chain in chains] == [list(range(201))]
 
 
 def test_multiplicity_diagonal_one():
@@ -253,6 +269,87 @@ def test_multiplicity_lr_value():
     assert multiplicity(la, mu) == lr_coeff(
         Partition([2, 1]), Partition([1, 1]), Partition([1])
     ) == 1
+
+
+def test_layer_chains_in_product_filter_order():
+    # The memoized, pruned walk yields the chains of the original
+    # product-and-filter enumeration, in the same order.
+    for r in range(1, 4):
+        for n in range(6):
+            for la in multipartitions(n, r):
+                rows = [list(c.parts) for c in la.components]
+                for sizes in compositions_of(n, r):
+                    got = [
+                        tuple(tuple(c.parts for c in level.components) for level in chain)
+                        for chain in layer_chains(la, sizes)
+                    ]
+                    assert got == product_filter_layer_chains(rows, sizes), (la, sizes)
+
+
+def test_sized_picks_match_filtered_product():
+    rng = random.Random(17)
+    candidates = [p for n in range(4) for p in partitions_of(n)]
+    cases = [([], 0), ([], 1), ([[]], 0), ([candidates, []], 0), ([candidates], -1)]
+    for _ in range(300):
+        pools = [rng.sample(candidates, rng.randrange(len(candidates))) for _ in range(rng.randrange(5))]
+        top = sum(max((q.size for q in pool), default=0) for pool in pools)
+        cases.extend((pools, t) for t in (0, rng.randrange(-1, top + 3)))
+    for pools, target in cases:
+        expected = [c for c in iproduct(*pools) if sum(q.size for q in c) == target]
+        assert _sized_picks(pools, target) == expected, (pools, target)
+
+
+def test_straight_component0_layer_is_kronecker():
+    # What lets the chain route read only the slicings whose innermost
+    # level is mu's component 0: c^eta_{0,nu} = 1 if eta = nu, else 0.
+    for r in (1, 3):
+        for n in range(8):
+            for eta in partitions_of(n):
+                layer = SkewShape(mp([eta.parts] + [[]] * (r - 1)))
+                for nu in partitions_of(n):
+                    assert skew_singular_count(layer, 0, nu.parts) == (eta == nu), (eta, nu)
+
+
+def test_chain_value_matches_unindexed_sum():
+    def count(outer, inner, k, row):
+        return skew_singular_count(SkewShape(mp(outer), mp(inner)), k, row)
+
+    _chain_value.cache_clear()
+    for r, n_max in ((1, 4), (2, 4), (3, 4), (4, 3)):
+        for n in range(n_max + 1):
+            order = multipartitions(n, r)
+            for la in order:
+                rows = [list(c.parts) for c in la.components]
+                for mu in order:
+                    expected = unindexed_chain_sum(rows, [list(c.parts) for c in mu.components], count)
+                    assert _chain_value(la, mu) == expected, (la, mu)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: layer_chains([[1]], (1,)),
+        lambda: count_straight_tableaux([[1]], [[1]]),
+        lambda: multiplicity_row_by_solve([[1]]),
+        lambda: grouping_factorization_check([[1]], [[1]], Grouping([1])),
+        lambda: grouping_factorization_check(mp([[1]]), mp([[1]]), [1]),
+        lambda: weyl_schur([[1], [1]]),
+        lambda: weyl_schur(Partition([1])),
+    ],
+    ids=[
+        "layer_chains",
+        "count_straight_tableaux",
+        "multiplicity_row_by_solve",
+        "grouping_factorization_check",
+        "grouping_factorization_check-grouping",
+        "weyl_schur",
+        "weyl_schur-partition",
+    ],
+)
+def test_library_entries_refuse_non_multipartitions(call):
+    # A list is unhashable, so a memo consulted first would raise TypeError.
+    with pytest.raises(InputError, match="expected"):
+        call()
 
 
 def test_three_routes_agree_small():

@@ -58,10 +58,20 @@ print(json.dumps(sorted(reached)))
 
 ROUTES = ("singular", "chain", "solve", "lr")
 
+# The chain route's slicing enumeration and its memos of levels, layers and
+# row blocks.
+CHAIN_ONLY = {
+    "branching.layer_chains",
+    "branching._lower_levels",
+    "branching._sized_picks",
+    "branching._layer",
+    "branching._chain_layers",
+}
+
 # What each route must reach, so that an empty record cannot pass.
 OWN = {
     "singular": {"branching._singular_value", "crystal.is_singular"},
-    "chain": {"branching._chain_value", "branching.skew_singular_count"},
+    "chain": {"branching._chain_value", "branching.skew_singular_count"} | CHAIN_ONLY,
     "solve": {"branching._solve_row", "branching._kostka"},
     "lr": {"symfunc.union_alphabet_schur", "branching._lr"},
 }
@@ -72,20 +82,22 @@ NEVER = {
         "branching._lr",
         "branching._lattice_count",
         "branching._chain_value",
-    },
+    }
+    | CHAIN_ONLY,
     "solve": {
         "branching._lattice_count",
         "branching._chain_value",
         "crystal.etilde",
         "crystal.ftilde",
-    },
+    }
+    | CHAIN_ONLY,
     "chain": {
         "branching._kostka",
         "branching._lr",
         "tableaux._fillings",
         "crystal.is_singular",
     },
-    "lr": {"branching.skew_singular_count", "branching._chain_value"},
+    "lr": {"branching.skew_singular_count", "branching._chain_value"} | CHAIN_ONLY,
 }
 
 # The accepted shares, each with exactly the routes that reach it: the
