@@ -10,9 +10,13 @@ The three routes:
     slicings depend on the weight's size vector only, so they are built once
     per row block (shape, size vector), indexed by their innermost level,
     and an entry reads only the slicings whose innermost level is its own
-    component 0. The levels under a level and each distinct layer are
-    memoized, so blocks share them and the skew-count memo finds a layer
-    by identity;
+    component 0, where the component-0 factor is 1 and is not counted. The
+    levels under a level are memoized, so blocks share them. Each layer is
+    replaced by its count shape: its connected pieces, each moved to the
+    origin and turned to the smaller of its two 180-degree orientations,
+    sorted and stacked corner to corner into one single-component skew
+    shape. Every layer with the same pieces has the same count, so the
+    skew-count memo counts each count shape once, found by identity;
   * solve    -- solve the unitriangular linear system that expresses tableau
     counts through Kostka numbers.
 All arithmetic is exact integer arithmetic.
@@ -265,29 +269,82 @@ def layer_chains(la: MultiPartition, sizes: tuple) -> Iterator[tuple]:
     return iter(chains)
 
 
+def _canonical_piece(rows: list) -> tuple:
+    """One connected piece, given as its (outer, inner) row pairs from the
+    top: moved to the origin, then the smaller of it and its 180-degree
+    rotation. Both have the same skew Schur function."""
+    top, shift = rows[0][0], rows[-1][1]
+    piece = tuple((a - shift, b - shift) for a, b in rows)
+    turned = tuple((top - b, top - a) for a, b in reversed(rows))
+    return min(piece, turned)
+
+
+@cache
+def _pieces(outer: Partition, inner: Partition) -> tuple:
+    """The connected pieces of the skew diagram outer/inner, from the top,
+    each in its canonical form. Rows i and i+1 share a piece when they
+    share a column, i.e. inner row i ends left of outer row i+1; an empty
+    row ends a piece."""
+    pieces, rows = [], []
+    for i, a in enumerate(outer.parts):
+        b = inner.row(i)
+        if rows and (a == b or rows[-1][1] >= a):
+            pieces.append(_canonical_piece(rows))
+            rows = []
+        if a > b:
+            rows.append((a, b))
+    if rows:
+        pieces.append(_canonical_piece(rows))
+    return tuple(pieces)
+
+
+@cache
+def _count_shape(pieces: tuple) -> SkewShape:
+    """The sorted pieces stacked corner to corner, the first at the top
+    right, as one single-component skew shape: its skew Schur function is
+    the product of theirs. One object per piece tuple."""
+    outer, inner = [], []
+    offset = sum(piece[0][0] for piece in pieces)
+    for piece in pieces:
+        offset -= piece[0][0]
+        for a, b in piece:
+            outer.append(a + offset)
+            inner.append(b + offset)
+    return SkewShape(MultiPartition([outer]), MultiPartition([inner]))
+
+
 @cache
 def _layer(outer: MultiPartition, inner: MultiPartition) -> SkewShape:
-    """The layer outer/inner, one object per distinct layer, so the memo of
-    skew_singular_count finds it by identity, not by comparing copies."""
-    return SkewShape(outer, inner)
+    """The count shape of the layer outer/inner. A layer's singular count
+    for a partition weight nu is the coefficient of s_nu in the product of
+    the skew Schur functions of its connected pieces, whatever component
+    each piece lies in, where it sits, and whether it is turned by 180
+    degrees. So every layer with the same canonical pieces shares one
+    count shape, and the skew-count memo counts it once, by identity."""
+    pieces = sorted(
+        piece
+        for a, b in zip(outer.components, inner.components)
+        for piece in _pieces(a, b)
+    )
+    return _count_shape(tuple(pieces))
 
 
 # The component-0 layer of a slicing is its straight innermost level eta =
 # levels[1], filled by alphabet 0 alone. Its singular count c^eta_{0,nu} is
 # 1 when eta is mu's component 0 = nu and 0 otherwise, so each block keeps
-# its slicings grouped by the parts of eta, and an entry reads only the
-# group of its own component 0. There that factor is 1; it is still
-# counted, like every other layer. One block entry suffices:
-# multipartitions sorts by size vector first, so every reader of a row
-# (multiplicity_matrix, symfunc.weyl_schur, and symfunc._basis_change
-# through multiplicity_matrix) reads each block in one run.
+# its slicings grouped by the parts of eta, an entry reads only the group
+# of its own component 0, and that factor is never counted: a slicing keeps
+# only its layers 1..r-1. One block entry suffices: multipartitions sorts by
+# size vector first, so every reader of a row (multiplicity_matrix,
+# symfunc.weyl_schur, and symfunc._basis_change through multiplicity_matrix)
+# reads each block in one run.
 @lru_cache(maxsize=1)
 def _chain_layers(la: MultiPartition, sizes: tuple) -> dict:
     """The row block of (la, sizes): the parts of each innermost level, mapped
-    to its slicings, each slicing as its skew layers from component 0 up."""
+    to its slicings, each slicing as the count shapes of its layers 1..r-1."""
     groups: dict = {}
     for levels in layer_chains(la, sizes):
-        layers = tuple(_layer(levels[k + 1], levels[k]) for k in range(la.r))
+        layers = tuple(_layer(levels[k + 1], levels[k]) for k in range(1, la.r))
         groups.setdefault(levels[1].component(0).parts, []).append(layers)
     return {eta: tuple(slicings) for eta, slicings in groups.items()}
 
@@ -295,12 +352,16 @@ def _chain_layers(la: MultiPartition, sizes: tuple) -> dict:
 @cache
 def _chain_value(la: MultiPartition, mu: MultiPartition) -> int:
     """Sum over layer slicings of products of singular skew counts."""
-    rows = [c.parts for c in mu.components]
+    comps = mu.components
+    group = _chain_layers(la, tuple([c.size for c in comps])).get(comps[0].parts)
+    if not group:
+        return 0
+    rows = [c.parts for c in comps[1:]]
     total = 0
-    for layers in _chain_layers(la, tuple(map(sum, rows))).get(rows[0], ()):
+    for layers in group:
         product = 1
-        for k, shape in enumerate(layers):
-            product *= skew_singular_count(shape, k, rows[k])
+        for shape, row in zip(layers, rows):
+            product *= skew_singular_count(shape, 0, row)
             if not product:
                 break
         total += product
@@ -455,6 +516,8 @@ def multiplicity_matrix(
 
 def invert_unitriangular(mat: IndexedMatrix) -> IndexedMatrix:
     """Exact integer inverse of a unitriangular indexed matrix."""
+    if not isinstance(mat, IndexedMatrix):
+        raise InputError(f"expected an IndexedMatrix, got {mat!r}")
     if not mat.is_unitriangular():
         raise InputError("matrix is not unitriangular")
     d = mat.dim

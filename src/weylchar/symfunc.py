@@ -153,8 +153,12 @@ def character(la: MultiPartition, bound: ShapeBound = None) -> MonomialPoly:
     by construction the coefficient of x^mu equals the semistandard tableau
     count of shape la and weight mu.
     """
+    if not isinstance(la, MultiPartition):
+        raise InputError(f"expected a MultiPartition, got {la!r}")
     if bound is None:
         bound = ShapeBound.for_size(la.size, la.r)
+    elif not isinstance(bound, ShapeBound):
+        raise InputError(f"expected a ShapeBound, got {bound!r}")
     bound.require_stable(la.size)
     expansion = weyl_schur(la)
     terms: dict = {}

@@ -13,6 +13,7 @@ from weylchar import (
     Partition,
     ShapeBound,
     SkewShape,
+    character,
     component_sizes,
     count_straight_tableaux,
     derive_decomposition,
@@ -34,7 +35,14 @@ from weylchar import (
     skew_singular_count,
     weyl_schur,
 )
-from weylchar.branching import IndexedMatrix, _chain_value, _sized_picks, _subpartitions
+from weylchar.branching import (
+    IndexedMatrix,
+    _chain_value,
+    _layer,
+    _pieces,
+    _sized_picks,
+    _subpartitions,
+)
 from weylchar.shapes import EMPTY, canonical_key, compositions_of
 
 from oracles import (
@@ -325,6 +333,50 @@ def test_chain_value_matches_unindexed_sum():
                     assert _chain_value(la, mu) == expected, (la, mu)
 
 
+def test_count_shape_keeps_every_layer_count():
+    # Every layer outer/inner with outer of at most 8 boxes in one component
+    # or at most 6 in two, counted against every partition weight, once on
+    # the layer itself (alphabet r-1 may fill every component) and once on
+    # its single-component count shape.
+    for r, n_max in ((1, 8), (2, 6)):
+        for n in range(n_max + 1):
+            for outer in multipartitions(n, r):
+                for inners in iproduct(*map(_subpartitions, outer.components)):
+                    inner = mp(inners)
+                    shape = _layer(outer, inner)
+                    assert shape.r == 1 and shape.n_cells == n - inner.size
+                    for nu in partitions_of(shape.n_cells):
+                        assert skew_singular_count(
+                            SkewShape(outer, inner), r - 1, nu.parts
+                        ) == skew_singular_count(shape, 0, nu.parts), (outer, inner, nu)
+
+
+def test_layer_splits_into_canonical_pieces():
+    # (3,1)/(1): row 0 ends its inner part where row 1 ends, so no column
+    # joins them, and each row is a piece of its own, moved to the origin.
+    assert _pieces(Partition([3, 1]), Partition([1])) == (((2, 0),), ((1, 0),))
+    assert _pieces(Partition([3, 2]), Partition([1])) == (((3, 1), (2, 0)),)
+    # An empty row ends a piece; the count shape stacks the sorted pieces
+    # corner to corner.
+    assert _pieces(Partition([3, 2, 1]), Partition([2, 2])) == (((1, 0),), ((1, 0),))
+    assert _layer(mp([[3, 1]]), mp([[1]])) == SkewShape(mp([[3, 2]]), mp([[2]]))
+
+
+def test_count_shape_is_interned():
+    # A piece and its 180-degree rotation give the same object.
+    assert _layer(mp([[3, 1]]), mp([[]])) is _layer(mp([[3, 3]]), mp([[2]]))
+    # Pieces commute, whichever component they lie in.
+    two = mp([[], []])
+    assert _layer(mp([[2], [1]]), two) is _layer(mp([[1], [2]]), two)
+    assert _layer(mp([[2], [1]]), two) is _layer(mp([[3, 1]]), mp([[1]]))
+
+
+def test_empty_layer_counts_one():
+    shape = _layer(mp([[2], [1]]), mp([[2], [1]]))
+    assert shape == SkewShape(mp([[]]))
+    assert skew_singular_count(shape, 0, ()) == 1
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -335,6 +387,10 @@ def test_chain_value_matches_unindexed_sum():
         lambda: grouping_factorization_check(mp([[1]]), mp([[1]]), [1]),
         lambda: weyl_schur([[1], [1]]),
         lambda: weyl_schur(Partition([1])),
+        lambda: character(None),
+        lambda: character([[1]]),
+        lambda: character(mp([[1]]), "x"),
+        lambda: invert_unitriangular(None),
     ],
     ids=[
         "layer_chains",
@@ -344,6 +400,10 @@ def test_chain_value_matches_unindexed_sum():
         "grouping_factorization_check-grouping",
         "weyl_schur",
         "weyl_schur-partition",
+        "character-none",
+        "character",
+        "character-bound",
+        "invert_unitriangular",
     ],
 )
 def test_library_entries_refuse_non_multipartitions(call):

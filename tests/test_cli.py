@@ -444,7 +444,13 @@ def test_unread_or_abbreviated_option_refused(argv, capsys):
 
 
 def test_deep_input_exits_2(capsys):
+    # With one component the chain route counts no layer: the answer is 1.
     code, out, err = run(capsys, "beta", "--lambda", "[[1200]]", "--mu", "[[1200]]")
+    assert (code, out, err) == (0, "1\n", "")
+    # The singular route recurses once per cell, past the recursion limit.
+    code, out, err = run(
+        capsys, "beta", "--lambda", "[[1200]]", "--mu", "[[1200]]", "--method", "singular"
+    )
     assert code == 2
     assert out == "" and err.startswith("error:") and "Traceback" not in err
 

@@ -58,14 +58,17 @@ print(json.dumps(sorted(reached)))
 
 ROUTES = ("singular", "chain", "solve", "lr")
 
-# The chain route's slicing enumeration and its memos of levels, layers and
-# row blocks.
+# The chain route's slicing enumeration, its memos of levels, layers and
+# row blocks, and the count shapes it builds from a layer's pieces.
 CHAIN_ONLY = {
     "branching.layer_chains",
     "branching._lower_levels",
     "branching._sized_picks",
     "branching._layer",
     "branching._chain_layers",
+    "branching._pieces",
+    "branching._canonical_piece",
+    "branching._count_shape",
 }
 
 # What each route must reach, so that an empty record cannot pass.
