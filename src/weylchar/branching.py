@@ -13,10 +13,11 @@ The three routes:
     component 0, where the component-0 factor is 1 and is not counted. The
     levels under a level are memoized, so blocks share them. Each layer is
     replaced by its count shape: its connected pieces, each moved to the
-    origin and turned to the smaller of its two 180-degree orientations,
-    sorted and stacked corner to corner into one single-component skew
-    shape. Every layer with the same pieces has the same count, so the
-    skew-count memo counts each count shape once, found by identity;
+    origin and kept as whichever of it and its 180-degree rotation has
+    fewer outer cells, sorted, one piece per component, all filled by the
+    last alphabet.
+    Every layer with the same pieces has the same count, so the skew-count
+    memo counts each count shape once, found by identity;
   * solve    -- solve the unitriangular linear system that expresses tableau
     counts through Kostka numbers.
 All arithmetic is exact integer arithmetic.
@@ -271,12 +272,14 @@ def layer_chains(la: MultiPartition, sizes: tuple) -> Iterator[tuple]:
 
 def _canonical_piece(rows: list) -> tuple:
     """One connected piece, given as its (outer, inner) row pairs from the
-    top: moved to the origin, then the smaller of it and its 180-degree
-    rotation. Both have the same skew Schur function."""
+    top: moved to the origin, then the one of it and its 180-degree rotation
+    with the fewer outer cells, the smaller tuple on a tie. Both have the
+    same skew Schur function, and the outer cells stay within the piece's
+    own rows."""
     top, shift = rows[0][0], rows[-1][1]
     piece = tuple((a - shift, b - shift) for a, b in rows)
     turned = tuple((top - b, top - a) for a, b in reversed(rows))
-    return min(piece, turned)
+    return min(piece, turned, key=lambda p: (sum(a for a, _ in p), p))
 
 
 @cache
@@ -300,17 +303,17 @@ def _pieces(outer: Partition, inner: Partition) -> tuple:
 
 @cache
 def _count_shape(pieces: tuple) -> SkewShape:
-    """The sorted pieces stacked corner to corner, the first at the top
-    right, as one single-component skew shape: its skew Schur function is
-    the product of theirs. One object per piece tuple."""
-    outer, inner = [], []
-    offset = sum(piece[0][0] for piece in pieces)
-    for piece in pieces:
-        offset -= piece[0][0]
-        for a, b in piece:
-            outer.append(a + offset)
-            inner.append(b + offset)
-    return SkewShape(MultiPartition([outer]), MultiPartition([inner]))
+    """The sorted pieces as one skew shape, one piece per component (one
+    empty component when there is none). Filled by its last alphabet, its
+    reading word runs through the pieces one after another, so its count is
+    the coefficient in the product of their skew Schur functions. Its outer
+    size is at most the layer's. One object per piece tuple."""
+    if not pieces:
+        return SkewShape(MultiPartition([EMPTY]))
+    return SkewShape(
+        MultiPartition([[a for a, _ in piece] for piece in pieces]),
+        MultiPartition([[b for _, b in piece] for piece in pieces]),
+    )
 
 
 @cache
@@ -341,10 +344,12 @@ def _layer(outer: MultiPartition, inner: MultiPartition) -> SkewShape:
 @lru_cache(maxsize=1)
 def _chain_layers(la: MultiPartition, sizes: tuple) -> dict:
     """The row block of (la, sizes): the parts of each innermost level, mapped
-    to its slicings, each slicing as the count shapes of its layers 1..r-1."""
+    to its slicings, each slicing as the count shapes of its layers 1..r-1,
+    each with its last alphabet, the one that may fill all its pieces."""
     groups: dict = {}
     for levels in layer_chains(la, sizes):
-        layers = tuple(_layer(levels[k + 1], levels[k]) for k in range(1, la.r))
+        shapes = [_layer(levels[k + 1], levels[k]) for k in range(1, la.r)]
+        layers = tuple((shape, shape.r - 1) for shape in shapes)
         groups.setdefault(levels[1].component(0).parts, []).append(layers)
     return {eta: tuple(slicings) for eta, slicings in groups.items()}
 
@@ -360,8 +365,8 @@ def _chain_value(la: MultiPartition, mu: MultiPartition) -> int:
     total = 0
     for layers in group:
         product = 1
-        for shape, row in zip(layers, rows):
-            product *= skew_singular_count(shape, 0, row)
+        for (shape, comp), row in zip(layers, rows):
+            product *= skew_singular_count(shape, comp, row)
             if not product:
                 break
         total += product

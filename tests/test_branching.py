@@ -337,18 +337,21 @@ def test_count_shape_keeps_every_layer_count():
     # Every layer outer/inner with outer of at most 8 boxes in one component
     # or at most 6 in two, counted against every partition weight, once on
     # the layer itself (alphabet r-1 may fill every component) and once on
-    # its single-component count shape.
+    # its count shape, one piece per component, by its last alphabet.
     for r, n_max in ((1, 8), (2, 6)):
         for n in range(n_max + 1):
             for outer in multipartitions(n, r):
                 for inners in iproduct(*map(_subpartitions, outer.components)):
                     inner = mp(inners)
                     shape = _layer(outer, inner)
-                    assert shape.r == 1 and shape.n_cells == n - inner.size
+                    assert shape.n_cells == n - inner.size
+                    assert shape.outer.size <= n
                     for nu in partitions_of(shape.n_cells):
                         assert skew_singular_count(
                             SkewShape(outer, inner), r - 1, nu.parts
-                        ) == skew_singular_count(shape, 0, nu.parts), (outer, inner, nu)
+                        ) == skew_singular_count(shape, shape.r - 1, nu.parts), (
+                            outer, inner, nu
+                        )
 
 
 def test_layer_splits_into_canonical_pieces():
@@ -356,10 +359,22 @@ def test_layer_splits_into_canonical_pieces():
     # joins them, and each row is a piece of its own, moved to the origin.
     assert _pieces(Partition([3, 1]), Partition([1])) == (((2, 0),), ((1, 0),))
     assert _pieces(Partition([3, 2]), Partition([1])) == (((3, 1), (2, 0)),)
-    # An empty row ends a piece; the count shape stacks the sorted pieces
-    # corner to corner.
+    # An empty row ends a piece; the count shape puts the sorted pieces one
+    # per component.
     assert _pieces(Partition([3, 2, 1]), Partition([2, 2])) == (((1, 0),), ((1, 0),))
-    assert _layer(mp([[3, 1]]), mp([[1]])) == SkewShape(mp([[3, 2]]), mp([[2]]))
+    assert _layer(mp([[3, 1]]), mp([[1]])) == SkewShape(mp([[1], [2]]))
+    # Of a piece and its rotation, the one with fewer outer cells is kept.
+    assert _pieces(Partition([3, 3]), Partition([2])) == (((3, 0), (1, 0)),)
+
+
+def test_count_shape_stays_within_the_layer_size():
+    # 150 one-box pieces in one layer: their count shape has 150 cells, and
+    # is refused by no size cap.
+    la, mu = mp([[1]] * 150), mp([[]] * 149 + [[150]])
+    assert multiplicity(la, mu) == 1
+    assert multiplicity(la, mu, method="singular") == 1
+    la, mu = mp([[10]] * 45), mp([[]] * 44 + [[450]])
+    assert multiplicity(la, mu) == 1
 
 
 def test_count_shape_is_interned():
@@ -374,7 +389,7 @@ def test_count_shape_is_interned():
 def test_empty_layer_counts_one():
     shape = _layer(mp([[2], [1]]), mp([[2], [1]]))
     assert shape == SkewShape(mp([[]]))
-    assert skew_singular_count(shape, 0, ()) == 1
+    assert skew_singular_count(shape, shape.r - 1, ()) == 1
 
 
 @pytest.mark.parametrize(
