@@ -17,7 +17,10 @@ The three routes:
     fewer outer cells, sorted, one piece per component, all filled by the
     last alphabet.
     Every layer with the same pieces has the same count, so the skew-count
-    memo counts each count shape once, found by identity;
+    memo counts each count shape once, found by identity. The route
+    memoizes its blocks, levels, layers, count shapes and skew counts, but
+    not its entries: a matrix has d^2 of them, and each is read once per
+    pass over the matrix;
   * solve    -- solve the unitriangular linear system that expresses tableau
     counts through Kostka numbers.
 All arithmetic is exact integer arithmetic.
@@ -232,10 +235,18 @@ def _sized_picks(pools: list, target: int) -> list:
 def _lower_levels(level: MultiPartition, k: int, target: int) -> tuple:
     """Every level that fits under level as levels[k-1] of a slicing: of
     size target, its components 0..k-2 inside those of level, the rest
-    empty. In the product order of the _subpartitions pools."""
-    pools = [_subpartitions(level.component(j)) for j in range(k - 1)]
-    pad = (EMPTY,) * (level.r - k + 1)
-    return tuple(MultiPartition(inner + pad) for inner in _sized_picks(pools, target))
+    empty. In the product order of the _subpartitions pools. Only the
+    nonempty components among 0..k-2 get a pool: an empty one stays empty,
+    its pool being the empty partition alone, so the order is the same."""
+    picked = [j for j in range(k - 1) if level.component(j).size]
+    pools = [_subpartitions(level.component(j)) for j in picked]
+    lower = []
+    for picks in _sized_picks(pools, target):
+        comps = [EMPTY] * level.r
+        for j, q in zip(picked, picks):
+            comps[j] = q
+        lower.append(MultiPartition(comps))
+    return tuple(lower)
 
 
 def layer_chains(la: MultiPartition, sizes: tuple) -> Iterator[tuple]:
@@ -338,9 +349,11 @@ def _layer(outer: MultiPartition, inner: MultiPartition) -> SkewShape:
 # its slicings grouped by the parts of eta, an entry reads only the group
 # of its own component 0, and that factor is never counted: a slicing keeps
 # only its layers 1..r-1. One block entry suffices: multipartitions sorts by
-# size vector first, so every reader of a row (multiplicity_matrix,
-# symfunc.weyl_schur, and symfunc._basis_change through multiplicity_matrix)
-# reads each block in one run.
+# size vector first, so each reader of a row (multiplicity_matrix and
+# symfunc.weyl_schur) reads each of its blocks in one run. The structure-
+# constant scan reads every row twice, through weyl_schur and through the
+# multiplicity matrix behind symfunc._basis_change, so it builds each block
+# twice; the second build finds its levels, layers and counts memoized.
 @lru_cache(maxsize=1)
 def _chain_layers(la: MultiPartition, sizes: tuple) -> dict:
     """The row block of (la, sizes): the parts of each innermost level, mapped
@@ -354,7 +367,11 @@ def _chain_layers(la: MultiPartition, sizes: tuple) -> dict:
     return {eta: tuple(slicings) for eta, slicings in groups.items()}
 
 
-@cache
+# No entry memo: maxsize=0 counts the calls and stores nothing, so a matrix
+# keeps its blocks and counts but not its d^2 entries. It stays a functools
+# wrapper only because bench/trace_child.py reads its cache_info(), in MEMOS
+# and in count_nonzero_misses; ROADMAP item 1's counters replace it.
+@lru_cache(maxsize=0)
 def _chain_value(la: MultiPartition, mu: MultiPartition) -> int:
     """Sum over layer slicings of products of singular skew counts."""
     comps = mu.components
@@ -520,23 +537,31 @@ def multiplicity_matrix(
 
 
 def invert_unitriangular(mat: IndexedMatrix) -> IndexedMatrix:
-    """Exact integer inverse of a unitriangular indexed matrix."""
+    """Exact integer inverse of a unitriangular indexed matrix, found by
+    back substitution over the nonzero entries only."""
     if not isinstance(mat, IndexedMatrix):
         raise InputError(f"expected an IndexedMatrix, got {mat!r}")
     if not mat.is_unitriangular():
         raise InputError("matrix is not unitriangular")
+    # Back substitution from the last row up: U X = I gives
+    # X[i] = e_i - sum of U[i][k] X[k] over the nonzero U[i][k], k > i.
+    # Each row of X is kept as a dict of its nonzero entries until the end.
     d = mat.dim
-    u = mat.rows
-    inv = [[0] * d for _ in range(d)]
-    for i in range(d):
-        inv[i][i] = 1
-        for j in range(i + 1, d):
-            s = 0
-            for k in range(i, j):
-                if inv[i][k] and u[k][j]:
-                    s += inv[i][k] * u[k][j]
-            inv[i][j] = -s
-    return IndexedMatrix(mat.n, mat.bound, mat.order, inv)
+    sparse = [None] * d
+    for i in range(d - 1, -1, -1):
+        acc = {i: 1}
+        for k, c in enumerate(mat.rows[i]):
+            if c and k != i:
+                for j, x in sparse[k].items():
+                    acc[j] = acc.get(j, 0) - c * x
+        sparse[i] = {j: x for j, x in acc.items() if x}
+    rows = []
+    for entries in sparse:
+        row = [0] * d
+        for j, x in entries.items():
+            row[j] = x
+        rows.append(row)
+    return IndexedMatrix(mat.n, mat.bound, mat.order, rows)
 
 
 def matrix_product(a: IndexedMatrix, b: IndexedMatrix) -> IndexedMatrix:

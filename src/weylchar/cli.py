@@ -65,11 +65,11 @@ def _json(obj) -> str:
 
 
 def _matrix_output(mat, fmt: str) -> tuple:
-    from .serialize import matrix_to_obj, matrix_to_tsv
+    from .serialize import matrix_to_json, matrix_to_tsv
 
     if fmt == "tsv":
         return matrix_to_tsv(mat), 0
-    return _json(matrix_to_obj(mat)), 0
+    return matrix_to_json(mat), 0
 
 
 def cmd_beta(args) -> tuple:

@@ -55,14 +55,21 @@ def tableau_to_obj(t: Tableau) -> dict:
     }
 
 
-def matrix_to_obj(m: IndexedMatrix) -> dict:
-    return {
-        "n": m.n,
-        "r": m.r,
-        "m": list(m.bound.m),
-        "order": [multipartition_to_obj(mp) for mp in m.order],
-        "rows": [list(row) for row in m.rows],
-    }
+def matrix_to_json(m: IndexedMatrix) -> str:
+    """The matrix as canonical JSON text with keys n, r, m, order and rows.
+    The rows are written one at a time, so the encoder never holds a string
+    per entry of the whole matrix; the bytes are those json_bytes gives."""
+    head = json.dumps(
+        {
+            "n": m.n,
+            "r": m.r,
+            "m": list(m.bound.m),
+            "order": [multipartition_to_obj(mp) for mp in m.order],
+        },
+        separators=(",", ":"),
+    )
+    rows = ",".join("[" + ",".join(map(str, row)) + "]" for row in m.rows)
+    return head[:-1] + ',"rows":[' + rows + "]}\n"
 
 
 def matrix_from_obj(obj) -> IndexedMatrix:

@@ -226,25 +226,28 @@ def schur_product(a: SchurExpansion, b: SchurExpansion) -> SchurExpansion:
 @cache
 def _basis_change(degree: int, r: int) -> dict:
     """The inverse multiplicity matrix at a degree, stable bound, as sparse
-    rows: each index entry maps to its nonzero (target, coefficient) pairs
-    in canonical order. The matrix itself is not kept: its row at la is
-    weyl_schur(la)."""
+    rows: each index entry maps to the nonzero (position, coefficient) pairs
+    of its row, a position being one in multipartitions(degree, r). The
+    matrix itself is not kept: its row at la is weyl_schur(la)."""
     bound = ShapeBound.for_size(degree, r)
     inv = invert_unitriangular(multiplicity_matrix(degree, bound, method="chain"))
     return {
-        src: tuple((dst, c) for dst, c in zip(inv.order, row) if c)
+        src: tuple((j, c) for j, c in enumerate(row) if c)
         for src, row in zip(inv.order, inv.rows)
     }
 
 
 def _change_basis(expansion: SchurExpansion, row_of) -> SchurExpansion:
     """Multiply the coefficient row vector of an expansion by the matrix
-    whose row at each index entry is row_of(entry), as (target, coefficient)
-    pairs."""
-    terms: dict = {}
+    whose row at each index entry is row_of(entry), as (position,
+    coefficient) pairs over the canonical order of the degree. The sum is
+    kept by position, so no multipartition is hashed per product."""
+    order = multipartitions(expansion.degree, expansion.r)
+    acc = [0] * len(order)
     for src, a in expansion.terms.items():
-        for dst, c in row_of(src):
-            terms[dst] = terms.get(dst, 0) + a * c
+        for j, c in row_of(src):
+            acc[j] += a * c
+    terms = {order[j]: x for j, x in enumerate(acc) if x}
     return SchurExpansion(expansion.r, expansion.degree, terms)
 
 
@@ -257,7 +260,11 @@ def to_weyl_basis(expansion: SchurExpansion) -> SchurExpansion:
 def to_schur_basis(expansion: SchurExpansion) -> SchurExpansion:
     """Rewrite a character-basis expansion in the Schur basis: the basis
     element la is weyl_schur(la)."""
-    return _change_basis(expansion, lambda la: weyl_schur(la).terms.items())
+    order = multipartitions(expansion.degree, expansion.r)
+    pos = {mp: j for j, mp in enumerate(order)}
+    return _change_basis(
+        expansion, lambda la: [(pos[mu], c) for mu, c in weyl_schur(la).terms.items()]
+    )
 
 
 def structure_constants(la: MultiPartition, mu: MultiPartition) -> SchurExpansion:

@@ -321,3 +321,16 @@ def naive_scan(n_max, r, index, constants):
         "c1_violations": negatives,
         "c2_violations": support,
     }
+
+
+def dense_unitriangular_inverse(rows):
+    """The inverse of an upper unitriangular integer matrix, given as a list
+    of rows, by the dense triple loop: each entry X[i][j] right of the
+    diagonal is minus the sum of X[i][k] U[k][j] over i <= k < j."""
+    d = len(rows)
+    inv = [[0] * d for _ in range(d)]
+    for i in range(d):
+        inv[i][i] = 1
+        for j in range(i + 1, d):
+            inv[i][j] = -sum(inv[i][k] * rows[k][j] for k in range(i, j))
+    return inv

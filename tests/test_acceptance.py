@@ -49,7 +49,7 @@ from weylchar import (
     weyl_schur,
 )
 from weylchar.branching import IndexedMatrix
-from weylchar.serialize import json_bytes, matrix_to_obj
+from weylchar.serialize import matrix_to_json
 from weylchar.tableaux import Tableau, enumerate_all_tableaux
 
 
@@ -406,7 +406,7 @@ def test_criterion_12_factorization():
     bmat = multiplicity_matrix(3, bound)
     ident = identity_matrix(3, bound)
     derived = derive_decomposition(bmat, ident)
-    assert json_bytes(matrix_to_obj(derived)) == json_bytes(matrix_to_obj(bmat))
+    assert matrix_to_json(derived) == matrix_to_json(bmat)
     rng = random.Random(1105)
     dim = bmat.dim
     for _ in range(10):

@@ -4,7 +4,7 @@ import sys
 from itertools import product as iproduct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from weylchar import (
     Grouping,
@@ -50,6 +50,7 @@ from oracles import (
     brute_lr,
     brute_ssyt_count,
     brute_subdiagrams,
+    dense_unitriangular_inverse,
     product_filter_layer_chains,
     unindexed_chain_sum,
 )
@@ -252,6 +253,28 @@ def test_chain_route_needs_no_stack_per_component():
         sys.setrecursionlimit(limit)
     assert picks == [tuple(cell if i == j else EMPTY for i in range(200)) for j in range(200)]
     assert [[level.size for level in chain] for chain in chains] == [list(range(201))]
+
+
+def test_level_walk_pools_only_nonempty_components(monkeypatch):
+    # An empty component of a level can only stay empty under it, so the
+    # walk gets a pool per nonempty component, not one per component below
+    # k - 1: with one box among 300 components, at most one pool.
+    from weylchar import branching
+
+    pools_seen = []
+    sized_picks = branching._sized_picks
+
+    def spy(pools, target):
+        pools_seen.append(len(pools))
+        return sized_picks(pools, target)
+
+    monkeypatch.setattr(branching, "_sized_picks", spy)
+    branching._lower_levels.cache_clear()
+    for at in (0, 150, 299):
+        la = mp([[1] if k == at else [] for k in range(300)])
+        assert multiplicity(la, la, method="chain") == 1
+    branching._lower_levels.cache_clear()
+    assert pools_seen and max(pools_seen) <= 1
 
 
 def test_multiplicity_diagonal_one():
@@ -578,6 +601,45 @@ def test_matrix_inverse_exact():
 def test_matrix_cross_check_route():
     b = ShapeBound((3, 3))
     assert multiplicity_matrix(3, b) == multiplicity_matrix(3, b, method="solve")
+
+
+def test_inverse_matches_dense_reference_on_chain_matrices():
+    for r, n_max in ((2, 7), (3, 5)):
+        for n in range(n_max + 1):
+            b = ShapeBound.for_size(n, r)
+            mat = multiplicity_matrix(n, b)
+            inv = invert_unitriangular(mat)
+            assert inv.same_index(mat)
+            assert list(map(list, inv.rows)) == dense_unitriangular_inverse(mat.rows), (n, r)
+            assert matrix_product(mat, inv) == identity_matrix(n, b), (n, r)
+
+
+@seed(20261019)
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_inverse_matches_dense_reference_on_random_unitriangular(data):
+    # Any d <= 12 distinct index entries; off-diagonal entries of either
+    # sign, zeros frequent, and whole rows with nothing right of the
+    # diagonal.
+    b = ShapeBound.for_size(6, 2)
+    d = data.draw(st.integers(1, 12))
+    order = multipartitions(6, 2)[:d]
+    entry = st.one_of(st.just(0), st.integers(-9, 9))
+    rows = []
+    for i in range(d):
+        bare = data.draw(st.booleans())
+        rows.append([int(i == j) if j <= i or bare else data.draw(entry) for j in range(d)])
+    mat = IndexedMatrix(6, b, order, rows)
+    inv = invert_unitriangular(mat)
+    assert list(map(list, inv.rows)) == dense_unitriangular_inverse(rows)
+    unit = IndexedMatrix(6, b, order, [[int(i == j) for j in range(d)] for i in range(d)])
+    assert matrix_product(mat, inv) == unit
+    # Any change on or below the diagonal is refused.
+    i = data.draw(st.integers(0, d - 1))
+    j = data.draw(st.integers(0, i))
+    rows[i][j] += data.draw(st.sampled_from([-2, -1, 1, 2]))
+    with pytest.raises(InputError):
+        invert_unitriangular(IndexedMatrix(6, b, order, rows))
 
 
 def test_invert_rejects_non_unitriangular():

@@ -1,6 +1,10 @@
 import argparse
 import json
+import os
+import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -145,6 +149,75 @@ def test_beta_matrix_methods_match(capsys):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_matrix_json_writer_matches_json_encoder():
+    # The writer prints the rows one at a time; the bytes are those of the
+    # whole object through the canonical encoder, and read back the same.
+    from weylchar import branching
+    from weylchar.serialize import json_bytes, matrix_from_obj, matrix_to_json
+    from weylchar.shapes import ShapeBound
+
+    def whole(m):
+        return json_bytes(
+            {
+                "n": m.n,
+                "r": m.r,
+                "m": list(m.bound.m),
+                "order": [[list(c.parts) for c in mp.components] for mp in m.order],
+                "rows": [list(row) for row in m.rows],
+            }
+        ).decode()
+
+    mats = [
+        branching.multiplicity_matrix(n, ShapeBound.for_size(n, r), method=method)
+        for n, r in ((0, 2), (4, 2), (3, 3))
+        for method in ("chain", "solve", "singular")
+    ]
+    b = mats[3]
+    rng = random.Random(20)
+    d = b.dim
+    rows = [[int(i == j) if j <= i else rng.randint(-9, 9) for j in range(d)] for i in range(d)]
+    dbar = branching.IndexedMatrix(b.n, b.bound, b.order, rows)
+    mats.append(branching.derive_decomposition(b, dbar))
+    for m in mats:
+        text = matrix_to_json(m)
+        assert text == whole(m), m
+        assert matrix_from_obj(json.loads(text)) == m
+
+
+# The whole beta-matrix job, engine imports excluded, under tracemalloc in a
+# fresh interpreter: its peak and the entries left in the chain memo.
+MEMORY_CHILD = """
+import sys, tracemalloc
+from weylchar import branching, cli, serialize, symfunc
+
+tracemalloc.start()
+code = cli.main(["beta-matrix", "--n", "6", "--r", "3", "--out", sys.argv[1]])
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+print(code, peak, branching._chain_value.cache_info().currsize)
+"""
+
+
+def test_matrix_job_keeps_no_entry_memo(tmp_path):
+    # The chain route keeps its blocks and counts, not the d^2 entries, and
+    # the JSON text is written one row at a time: the (6,3) job peaked at
+    # 10.6 MiB with an entry memo and a whole-document encode, 2.5 MiB
+    # without.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("WEYLCHAR_CACHE", None)  # a cache hit would compute nothing
+    out = tmp_path / "matrix.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", MEMORY_CHILD, str(out)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, peak, entries = map(int, proc.stdout.split())
+    assert code == 0 and out.stat().st_size > 0
+    assert peak < 6 * 2**20, peak
+    assert entries == 0
 
 
 def test_character_and_tilde(capsys):

@@ -1,6 +1,7 @@
 import inspect
 import sys
 from collections import Counter
+from itertools import product as iproduct
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -24,6 +25,7 @@ from weylchar import (
     multicompositions,
     multipartitions,
     multiplicity,
+    partitions_of,
     scan_structure_constants,
     schur_product,
     schur_to_monomials,
@@ -180,6 +182,28 @@ def test_structure_constants_match_lr_product_on_size_match():
                                 nu.component(k), la.component(k), mu.component(k)
                             )
                         assert c == prod
+
+
+def test_structure_constants_are_products_of_lr_coefficients():
+    # The union-alphabet identity gives the constants in closed form:
+    # W_la W_mu = sum over nu of prod_k c^{nu^(k)}_{la^(k) mu^(k)} W_nu, a
+    # nu^(k) of size |la^(k)| + |mu^(k)| in every component. So no
+    # coefficient is negative and none leaves the factors' size vector,
+    # which is why the scan finds no violation.
+    for r, total_max in ((2, 6), (3, 4)):
+        for total in range(total_max + 1):
+            for a in range(total + 1):
+                for la in multipartitions(a, r):
+                    for mu in multipartitions(total - a, r):
+                        pairs = list(zip(la.components, mu.components))
+                        expected = {}
+                        for comps in iproduct(*(partitions_of(x.size + y.size) for x, y in pairs)):
+                            c = 1
+                            for nu_k, (la_k, mu_k) in zip(comps, pairs):
+                                c *= lr_coeff(nu_k, la_k, mu_k)
+                            if c:
+                                expected[MultiPartition(comps)] = c
+                        assert structure_constants(la, mu).terms == expected, (la, mu)
 
 
 def test_basis_roundtrip():
