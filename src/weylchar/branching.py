@@ -95,32 +95,42 @@ def _lattice_count(right: list, above: list, weight: tuple) -> int:
     right[p] and above[p] are the positions of the neighbors of cell p, or
     None; both come before p, so rows weakly increase and columns strictly
     increase. Every prefix must stay a lattice word, which prunes the
-    backtracking as it goes.
+    backtracking as it goes. The backtracking is one loop over the cells,
+    not one call per cell, so a long shape cannot exhaust the stack:
+    placed[p] is the letter in cell p, or -1 while the cell has none.
     """
     letters = len(weight)
     n = len(right)
     counts = [0] * letters
-    placed = [0] * n
-
-    def rec(pos: int) -> int:
+    placed = [-1] * n
+    total, pos = 0, 0
+    while pos >= 0:
         if pos == n:
-            return 1
-        rp, ap = right[pos], above[pos]
+            total += 1
+            pos -= 1
+            continue
+        a = placed[pos]
+        if a >= 0:  # back at this cell: take its letter off, try the next
+            counts[a] -= 1
+            a += 1
+        elif above[pos] is not None:
+            a = placed[above[pos]] + 1
+        else:
+            a = 0
+        rp = right[pos]
         hi = placed[rp] if rp is not None else letters - 1
-        lo = placed[ap] + 1 if ap is not None else 0
-        total = 0
-        for a in range(lo, hi + 1):
-            if counts[a] == weight[a]:
-                continue
-            if a and counts[a - 1] <= counts[a]:
-                continue  # the prefix would stop being a lattice word
+        # Skip a used-up letter and one after which the prefix would stop
+        # being a lattice word.
+        while a <= hi and (counts[a] == weight[a] or a and counts[a - 1] <= counts[a]):
+            a += 1
+        if a > hi:
+            placed[pos] = -1
+            pos -= 1
+        else:
             counts[a] += 1
             placed[pos] = a
-            total += rec(pos + 1)
-            counts[a] -= 1
-        return total
-
-    return rec(0)
+            pos += 1
+    return total
 
 
 @cache

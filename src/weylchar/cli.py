@@ -96,28 +96,28 @@ def cmd_beta_matrix(args) -> tuple:
 
 
 def cmd_character(args) -> tuple:
-    from .serialize import expansion_to_obj
+    from .serialize import expansion_to_json
     from .symfunc import character
 
     la = _parse_shape(args.lam)
     bound = _resolve_bound(args, la.size, la.r)
-    return _json(expansion_to_obj(character(la, bound))), 0
+    return expansion_to_json(character(la, bound)), 0
 
 
 def cmd_tilde(args) -> tuple:
-    from .serialize import expansion_to_obj
+    from .serialize import expansion_to_json
     from .symfunc import weyl_schur
 
-    return _json(expansion_to_obj(weyl_schur(_parse_shape(args.lam)))), 0
+    return expansion_to_json(weyl_schur(_parse_shape(args.lam))), 0
 
 
 def cmd_cmul(args) -> tuple:
-    from .serialize import weyl_expansion_to_obj
+    from .serialize import expansion_to_json
     from .symfunc import structure_constants
 
     la = _parse_shape(args.lam)
     mu = _parse_shape(args.mu, la.r)
-    return _json(weyl_expansion_to_obj(structure_constants(la, mu))), 0
+    return expansion_to_json(structure_constants(la, mu), "tilde"), 0
 
 
 def cmd_conjecture_scan(args) -> tuple:

@@ -8,7 +8,7 @@ import json
 
 from .branching import IndexedMatrix
 from .errors import InputError
-from .shapes import MultiComposition, MultiPartition, Partition, ShapeBound
+from .shapes import MultiPartition, Partition, ShapeBound
 from .symfunc import MonomialPoly, SchurExpansion
 from .tableaux import Tableau
 
@@ -39,10 +39,6 @@ def multipartition_from_obj(obj, r: int = None) -> MultiPartition:
     return MultiPartition(Partition(c) for c in obj)
 
 
-def multicomposition_to_obj(mc: MultiComposition) -> list:
-    return [list(row) for row in mc.rows]
-
-
 def tableau_to_obj(t: Tableau) -> dict:
     """Cells listed in reading order as 1-based [i, j, k, a, c] rows."""
     return {
@@ -53,6 +49,11 @@ def tableau_to_obj(t: Tableau) -> dict:
             for cell, e in zip(t.shape.cells(), t.entries)
         ],
     }
+
+
+def _ints_json(row) -> str:
+    """One row of integers as canonical JSON, the form json_bytes gives."""
+    return "[" + ",".join(map(str, row)) + "]"
 
 
 def matrix_to_json(m: IndexedMatrix) -> str:
@@ -68,8 +69,7 @@ def matrix_to_json(m: IndexedMatrix) -> str:
         },
         separators=(",", ":"),
     )
-    rows = ",".join("[" + ",".join(map(str, row)) + "]" for row in m.rows)
-    return head[:-1] + ',"rows":[' + rows + "]}\n"
+    return head[:-1] + ',"rows":[' + ",".join(map(_ints_json, m.rows)) + "]}\n"
 
 
 def matrix_from_obj(obj) -> IndexedMatrix:
@@ -107,24 +107,23 @@ def matrix_to_tsv(m: IndexedMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def expansion_to_obj(e) -> dict:
+def expansion_to_json(e, basis: str = None) -> str:
+    """The expansion as canonical JSON text with keys basis, degree and
+    terms, each term {"index": rows, "coeff": c} in canonical order. basis
+    names the basis, by default "monomial" or "schur" after the type ("tilde"
+    for a character-basis expansion). Like matrix_to_json, the terms are
+    written one at a time; the bytes are those json_bytes gives."""
     if isinstance(e, MonomialPoly):
-        basis, index = "monomial", multicomposition_to_obj
+        basis, rows_of = basis or "monomial", lambda mc: mc.rows
     elif isinstance(e, SchurExpansion):
-        basis, index = "schur", multipartition_to_obj
+        basis, rows_of = basis or "schur", lambda mp: (c.parts for c in mp.components)
     else:
         raise InputError(f"cannot serialize {type(e).__name__}")
-    return {
-        "basis": basis,
-        "degree": e.degree,
-        "terms": [{"index": index(x), "coeff": c} for x, c in e.canonical_items()],
-    }
-
-
-def weyl_expansion_to_obj(e: SchurExpansion) -> dict:
-    obj = expansion_to_obj(e)
-    obj["basis"] = "tilde"
-    return obj
+    terms = ",".join(
+        f'{{"index":[{",".join(map(_ints_json, rows_of(x)))}],"coeff":{c}}}'
+        for x, c in e.canonical_items()
+    )
+    return f'{{"basis":{json.dumps(basis)},"degree":{e.degree},"terms":[{terms}]}}\n'
 
 
 def scan_report_to_obj(report: dict) -> dict:

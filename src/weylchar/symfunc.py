@@ -8,14 +8,15 @@ enters when expanding into monomials of finitely many variables.
 
 from functools import cache, lru_cache
 from itertools import product as iproduct
+from math import prod
 from types import MappingProxyType
 
 from .errors import InputError
 from .branching import (
     _chain_value,
+    _kostka,
     _subpartitions,
     invert_unitriangular,
-    kostka,
     lr_coeff,
     multiplicity_matrix,
 )
@@ -103,29 +104,36 @@ class MonomialPoly(Frozen):
 def _schur_component_monomials(p: Partition, m: int) -> tuple:
     """Monomial expansion of one Schur polynomial in m variables, as its
     (composition, Kostka number) pairs with a nonzero number."""
-    pairs = ((w, kostka(p, w)) for w in compositions_of(p.size, m))
+    pairs = ((w, _kostka(p.parts, w)) for w in compositions_of(p.size, m))
     return tuple((w, c) for w, c in pairs if c)
 
 
-@cache
+def _monomials(row, bound: ShapeBound, degree: int) -> MonomialPoly:
+    """The monomial expansion of the sum of b * s_mu over the (mu, b) pairs
+    of row, s_mu the product of the component Schur polynomials. Terms are
+    summed by row tuples, each the product of its component Kostka numbers,
+    and each multicomposition is built once, for the polynomial returned."""
+    terms: dict = {}
+    for mu, b in row:
+        factors = [
+            _schur_component_monomials(c, mk) for c, mk in zip(mu.components, bound.m)
+        ]
+        for combo in iproduct(*factors):
+            rows, coeffs = zip(*combo)
+            terms[rows] = terms.get(rows, 0) + b * prod(coeffs)
+    return MonomialPoly(
+        bound, degree, {MultiComposition(rows): c for rows, c in terms.items()}
+    )
+
+
 def schur_to_monomials(la: MultiPartition, bound: ShapeBound) -> MonomialPoly:
     """Monomial expansion of the product of component Schur polynomials.
 
     The coefficient of x^mu is the product of the component Kostka numbers.
-    Memoized: each (la, bound) has one polynomial.
     """
     if not la.fits(bound):
         raise InputError(f"{la} does not fit {bound}")
-    factors = [
-        _schur_component_monomials(c, mk) for c, mk in zip(la.components, bound.m)
-    ]
-    terms = {}
-    for combo in iproduct(*factors):
-        coeff = 1
-        for _, c in combo:
-            coeff *= c
-        terms[MultiComposition(w for w, _ in combo)] = coeff
-    return MonomialPoly(bound, la.size, terms)
+    return _monomials(((la, 1),), bound, la.size)
 
 
 def weyl_schur(la: MultiPartition) -> SchurExpansion:
@@ -149,9 +157,9 @@ def _weyl_schur(la: MultiPartition) -> SchurExpansion:
 def character(la: MultiPartition, bound: ShapeBound = None) -> MonomialPoly:
     """Monomial character of the Weyl module attached to la.
 
-    Computed as the multiplicity-weighted sum of Schur monomial expansions;
-    by construction the coefficient of x^mu equals the semistandard tableau
-    count of shape la and weight mu.
+    Computed as the multiplicity-weighted sum of Schur monomial expansions,
+    in one pass over the row weyl_schur(la); by construction the coefficient
+    of x^mu equals the semistandard tableau count of shape la and weight mu.
     """
     if not isinstance(la, MultiPartition):
         raise InputError(f"expected a MultiPartition, got {la!r}")
@@ -160,12 +168,7 @@ def character(la: MultiPartition, bound: ShapeBound = None) -> MonomialPoly:
     elif not isinstance(bound, ShapeBound):
         raise InputError(f"expected a ShapeBound, got {bound!r}")
     bound.require_stable(la.size)
-    expansion = weyl_schur(la)
-    terms: dict = {}
-    for mu, b in expansion.terms.items():
-        for mc, c in schur_to_monomials(mu, bound).terms.items():
-            terms[mc] = terms.get(mc, 0) + b * c
-    return MonomialPoly(bound, la.size, terms)
+    return _monomials(weyl_schur(la).terms.items(), bound, la.size)
 
 
 @cache

@@ -115,6 +115,15 @@ def test_lr_against_brute_force():
                         )
 
 
+def test_lattice_count_needs_no_stack_per_cell():
+    # The lattice count backtracks in one loop: a 1200-cell row, far past
+    # the recursion limit, counts its one filling.
+    long_row = Partition([1200])
+    assert lr_coeff(long_row, Partition(), long_row) == 1
+    assert multiplicity(mp([[], [1200]]), mp([[], [1200]])) == 1
+    assert lr_coeff(Partition([600, 600]), Partition([600]), Partition([600])) == 1
+
+
 def test_lr_symmetry():
     for n in range(0, 7):
         for nu in partitions_of(n):

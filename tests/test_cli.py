@@ -220,6 +220,79 @@ def test_matrix_job_keeps_no_entry_memo(tmp_path):
     assert entries == 0
 
 
+def test_expansion_json_writer_matches_json_encoder():
+    # The writer prints the terms one at a time; the bytes are those of the
+    # whole object through the canonical encoder.
+    from weylchar.serialize import expansion_to_json, json_bytes
+    from weylchar.shapes import MultiComposition, MultiPartition, ShapeBound
+    from weylchar.symfunc import (
+        MonomialPoly,
+        SchurExpansion,
+        character,
+        structure_constants,
+        weyl_schur,
+    )
+
+    def whole(e, basis):
+        def rows(x):
+            if isinstance(x, MultiComposition):
+                return [list(row) for row in x.rows]
+            return [list(c.parts) for c in x.components]
+
+        terms = [{"index": rows(x), "coeff": c} for x, c in e.canonical_items()]
+        return json_bytes({"basis": basis, "degree": e.degree, "terms": terms}).decode()
+
+    la, mu = MultiPartition([[2, 1], [1]]), MultiPartition([[1], [2]])
+    negative = SchurExpansion(
+        2, 3, {MultiPartition([[2], [1]]): -3, MultiPartition([[], [3]]): 2, mu: 0}
+    )
+    cases = [
+        (character(la), None, "monomial"),
+        (character(MultiPartition([[1], []]), ShapeBound((2, 2))), None, "monomial"),
+        (MonomialPoly(ShapeBound((1, 1)), 0, {}), None, "monomial"),
+        (weyl_schur(la), None, "schur"),
+        (weyl_schur(la), "tilde", "tilde"),
+        (structure_constants(mu, mu), "tilde", "tilde"),
+        (SchurExpansion(2, 1, {}), None, "schur"),
+        (SchurExpansion(2, 1, {}), "tilde", "tilde"),
+        (negative, None, "schur"),
+        (weyl_schur(MultiPartition([[], []])), None, "schur"),
+    ]
+    assert any(c < 0 for c in negative.terms.values())
+    for e, basis, name in cases:
+        assert expansion_to_json(e, basis) == whole(e, name), (e, basis)
+
+
+# The whole character job, engine imports excluded, under tracemalloc in a
+# fresh interpreter.
+CHARACTER_CHILD = """
+import sys, tracemalloc
+from weylchar import cli
+
+tracemalloc.start()
+code = cli.main(["character", "--lambda", "[[2],[2],[1,1]]", "--out", sys.argv[1]])
+print(code, tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_character_job_builds_each_term_once(tmp_path):
+    # One monomial loop builds each term once and the JSON is written term
+    # by term: the job peaked at 67.1 MiB with a memoized polynomial per
+    # weight and a whole-document encode, 26 MiB without.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("WEYLCHAR_CACHE", None)  # a cache hit would compute nothing
+    out = tmp_path / "character.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", CHARACTER_CHILD, str(out)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, peak = map(int, proc.stdout.split())
+    assert code == 0 and out.stat().st_size > 0
+    assert peak < 40 * 2**20, peak
+
+
 def test_character_and_tilde(capsys):
     code, out, _ = run(capsys, "tilde", "--lambda", "[[1],[1]]")
     assert code == 0
@@ -526,6 +599,13 @@ def test_deep_input_exits_2(capsys):
     )
     assert code == 2
     assert out == "" and err.startswith("error:") and "Traceback" not in err
+
+
+def test_long_row_in_the_last_component_answers(capsys):
+    # The chain route counts the one layer of a 1200-cell row in a loop,
+    # not one call per cell.
+    code, out, err = run(capsys, "beta", "--lambda", "[[],[1200]]", "--mu", "[[],[1200]]")
+    assert (code, out, err) == (0, "1\n", "")
 
 
 def test_many_components_agree(capsys):
