@@ -44,6 +44,7 @@ from .shapes import (
     ints,
     multipartitions,
     split_components,
+    weak_composition,
 )
 from .tableaux import count_straight_tableaux, enumerate_tableaux
 
@@ -76,12 +77,7 @@ def _kostka(shape: tuple, weight: tuple) -> int:
 def kostka(shape, weight) -> int:
     """Number of semistandard fillings of a one-component shape and weight."""
     sh = (shape if isinstance(shape, Partition) else Partition(shape)).parts
-    wt = ints(weight)
-    if any(x < 0 for x in wt):
-        raise InputError(f"negative entry in weight {wt}")
-    if sum(sh) != sum(wt):
-        raise InputError(f"size mismatch: {sh} vs {wt}")
-    return _kostka(sh, wt)
+    return _kostka(sh, weak_composition(weight, sum(sh)))
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +176,7 @@ def skew_singular_count(shape: SkewShape, comp: int, weight_row: tuple) -> int:
     reading order, so the prefix test prunes the backtracking as it goes:
     every partial filling already read so far must stay a lattice word.
     """
-    weight_row = ints(weight_row)
-    if min(weight_row, default=0) < 0 or sum(weight_row) != shape.n_cells:
-        raise InputError(f"weight row {weight_row} is no composition of {shape.n_cells}")
+    weight_row = weak_composition(weight_row, shape.n_cells)
     if not 0 <= comp < shape.r:
         raise InputError(f"component {comp} out of range")
     cells, right, above = shape.neighbours()
@@ -275,11 +269,9 @@ def layer_chains(la: MultiPartition, sizes: tuple) -> Iterator[tuple]:
     """
     if not isinstance(la, MultiPartition):
         raise InputError(f"expected a MultiPartition, got {la!r}")
-    sizes = ints(sizes)
+    sizes = weak_composition(sizes, la.size)
     if len(sizes) != la.r:
         raise InputError("component counts disagree")
-    if sum(sizes) != la.size:
-        raise InputError(f"sizes disagree: {la.size} vs {sum(sizes)}")
     chains = [(la,)]
     for k in range(la.r, 0, -1):
         # chain[0] plays levels[k]; the new front is levels[k-1].

@@ -21,6 +21,34 @@ def ints(xs: Iterable) -> tuple:
         raise InputError(f"expected integers: {exc}") from None
 
 
+# The largest cap m_k, and the largest size and component count of a
+# multipartition or a default bound.
+MAX_CAP = 10_000
+
+
+def size_and_count(n, r) -> tuple:
+    """A size n and a component count r as ints, refused unless 0 <= n <= MAX_CAP
+    and 1 <= r <= MAX_CAP."""
+    n, r = ints((n, r))
+    if r < 1:
+        raise InputError(f"need r >= 1, got r={r}")
+    if r > MAX_CAP:
+        raise InputError(f"more than {MAX_CAP} components")
+    if n < 0:
+        raise InputError(f"need n >= 0, got n={n}")
+    if n > MAX_CAP:
+        raise InputError(f"size n={n} is above {MAX_CAP}")
+    return n, r
+
+
+def weak_composition(xs: Iterable, n: int) -> tuple:
+    """The entries of xs as ints, refused unless none is negative and they sum to n."""
+    c = ints(xs)
+    if min(c, default=0) < 0 or sum(c) != n:
+        raise InputError(f"{c} is no weak composition of {n}")
+    return c
+
+
 class Frozen:
     """Base of the immutable value types.
 
@@ -90,18 +118,6 @@ class Partition(Frozen):
 EMPTY = Partition()
 
 
-# The largest cap m_k, and the largest size and component count of a
-# multipartition or a default bound.
-MAX_CAP = 10_000
-
-
-def _refuse_above_cap(n: int, r: int) -> None:
-    if r > MAX_CAP:
-        raise InputError(f"more than {MAX_CAP} components")
-    if n > MAX_CAP:
-        raise InputError(f"size n={n} is above {MAX_CAP}")
-
-
 class ShapeBound(Frozen):
     """Per-component caps (m_1,...,m_r): row counts of shapes and letter alphabets."""
 
@@ -117,11 +133,9 @@ class ShapeBound(Frozen):
 
     @classmethod
     def for_size(cls, n: int, r: int) -> "ShapeBound":
-        """Default bound m_k = n (m_k = 1 for n = 0), the stable regime. Refuses
-        r below 1 and r or n above MAX_CAP."""
-        if r < 1:
-            raise InputError(f"need r >= 1, got r={r}")
-        _refuse_above_cap(n, r)
+        """Default bound m_k = n (m_k = 1 for n = 0), the stable regime, for
+        n and r within size_and_count."""
+        n, r = size_and_count(n, r)
         return cls((max(n, 1),) * r)
 
     @property
@@ -154,8 +168,7 @@ class MultiPartition(Frozen):
         )
         if not comps:
             raise InputError("need at least one component")
-        size = sum(c.size for c in comps)
-        _refuse_above_cap(size, len(comps))
+        size, _ = size_and_count(sum(c.size for c in comps), len(comps))
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "_h", hash(comps))
@@ -355,9 +368,10 @@ def _bounded_partitions(n: int, max_part: int) -> tuple:
     )
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def partitions_of(n: int) -> tuple:
     """All partitions of n as Partition values."""
+    n, _ = size_and_count(n, 1)
     return tuple(Partition(p) for p in _bounded_partitions(n, n))
 
 
@@ -380,9 +394,7 @@ def _compositions(n: int, parts: int) -> Iterator[tuple]:
 
 def compositions_of(n: int, parts: int) -> Iterator[tuple]:
     """All weak compositions of n into a fixed number of parts."""
-    if parts < 1:
-        raise InputError("need at least one part")
-    return _compositions(n, parts)
+    return _compositions(*size_and_count(n, parts))
 
 
 def canonical_key(la: MultiPartition) -> tuple:
@@ -405,10 +417,7 @@ def canonical_key(la: MultiPartition) -> tuple:
 def multipartitions(n: int, r: int) -> tuple:
     """All r-multipartitions of n. They are generated in canonical order (size
     vectors, then components, descending lexicographic), so none is sorted."""
-    n, r = ints((n, r))
-    if n < 0 or r < 1:
-        raise InputError(f"need n >= 0 and r >= 1, got n={n}, r={r}")
-    ShapeBound.for_size(n, r)  # refuses n or r above MAX_CAP
+    n, r = size_and_count(n, r)
     return tuple(
         MultiPartition(combo)
         for sizes in _compositions(n, r)
@@ -416,10 +425,11 @@ def multipartitions(n: int, r: int) -> tuple:
     )
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def multicompositions(n: int, bound: ShapeBound) -> tuple:
     """All multicompositions of n with row lengths m_k, in a fixed order:
     size vectors in descending lexicographic order, then the rows of each."""
+    n, _ = size_and_count(n, bound.r)
     return tuple(
         MultiComposition(rows)
         for sizes in _compositions(n, bound.r)

@@ -32,6 +32,7 @@ from .shapes import (
     ints,
     multipartitions,
     partitions_of,
+    size_and_count,
 )
 
 
@@ -167,6 +168,8 @@ def character(la: MultiPartition, bound: ShapeBound = None) -> MonomialPoly:
         bound = ShapeBound.for_size(la.size, la.r)
     elif not isinstance(bound, ShapeBound):
         raise InputError(f"expected a ShapeBound, got {bound!r}")
+    elif bound.r != la.r:
+        raise InputError("bound and shape disagree on component count")
     bound.require_stable(la.size)
     return _monomials(weyl_schur(la).terms.items(), bound, la.size)
 
@@ -286,6 +289,8 @@ def union_alphabet_schur(p, t: int, r: int) -> SchurExpansion:
     partition. Components are 0-based.
     """
     p = p if isinstance(p, Partition) else Partition(p)
+    _, r = size_and_count(p.size, r)
+    [t] = ints((t,))
     if not 0 <= t < r:
         raise InputError(f"component {t} out of range for r={r}")
 
@@ -344,9 +349,7 @@ def scan_structure_constants(n_max: int, r: int) -> dict:
     component-size vector differs from that of the factor sum. Violations
     are reported, never asserted absent.
     """
-    if n_max < 0:
-        raise InputError(f"n_max must be nonnegative, got {n_max}")
-    ShapeBound.for_size(n_max, r)  # refuses n_max or r above MAX_CAP up front
+    n_max, r = size_and_count(n_max, r)
     # The product is commutative, so each unordered pair is computed once:
     # (la, mu) at position (a, i) x (b, j) when (a, i) <= (b, j). Its swap
     # comes later in the scan and has the same violations with la and mu

@@ -156,6 +156,8 @@ def enumerate_all_tableaux(shape: SkewShape, bound: ShapeBound) -> Iterator[Tabl
 
     The order is that of enumerate_tableaux restricted to each weight.
     """
+    if bound.r != shape.r:
+        raise InputError("bound and shape disagree on component count")
     # No filling has more than n_cells uses of one entry, so this never binds.
     return _fillings(shape, bound, [[shape.n_cells] * mk for mk in bound.m])
 

@@ -7,13 +7,17 @@ route's answer unchanged, checked exhaustively at small sizes.
     c(la, mu; nu) = c(la', mu'; nu').
   * Empty components. Setting an alphabet to zero removes a component that
     is empty in both la and mu, so inserting one leaves beta unchanged.
+
+Past the exhaustive sizes, a derandomized hypothesis test samples entries.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylchar import (
     MultiPartition,
     Partition,
+    dominates,
     multipartitions,
     multiplicity,
     structure_constants,
@@ -52,6 +56,38 @@ def test_conjugation_keeps_beta(method):
                     assert multiplicity(la, mu, method=method) == multiplicity(
                         conj[la], conj[mu], method=method
                     ), (method, la, mu)
+
+
+def sampled_entry(data, sizes):
+    """A drawn (la, mu) at one of the sizes (n, r). mu is drawn among the
+    entries la dominates, where the nonzero multiplicities lie."""
+    n, r = data.draw(st.sampled_from(sizes))
+    order = multipartitions(n, r)
+    la = data.draw(st.sampled_from(order))
+    mu = data.draw(st.sampled_from([mu for mu in order if dominates(la, mu)]))
+    return la, mu
+
+
+# Past criterion 01's sizes only a sample of entries is affordable.
+SAMPLED = settings(derandomize=True, database=None, deadline=None)
+
+
+@settings(SAMPLED, max_examples=200)
+@given(data=st.data())
+def test_sampled_chain_entries_keep_beta(data):
+    la, mu = sampled_entry(data, ((9, 2), (7, 3), (6, 4)))
+    value = multiplicity(la, mu)
+    assert multiplicity(conjugate(la), conjugate(mu)) == value, (la, mu)
+    k = data.draw(st.integers(0, la.r))
+    assert multiplicity(with_empty(la, k), with_empty(mu, k)) == value, (la, mu, k)
+
+
+@settings(SAMPLED, max_examples=100)
+@given(data=st.data())
+def test_sampled_solve_entries_keep_beta_under_conjugation(data):
+    la, mu = sampled_entry(data, ((7, 2),))
+    value = multiplicity(la, mu, method="solve")
+    assert multiplicity(conjugate(la), conjugate(mu), method="solve") == value, (la, mu)
 
 
 def test_empty_component_keeps_chain_beta():
