@@ -28,7 +28,7 @@ All arithmetic is exact integer arithmetic.
 
 import warnings
 from functools import cache, lru_cache
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .errors import ConsistencyError, InputError
 from .crystal import is_singular
@@ -500,12 +500,10 @@ class IndexedMatrix(Frozen):
         """Unit diagonal and zeros below it, in the canonical order."""
         return self.unitriangular_fault() is None
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IndexedMatrix)
-            and self.same_index(other)
-            and self.rows == other.rows
-        )
+    def _key(self) -> tuple:
+        return self.n, self.bound, self.order, self.rows
+
+    __hash__ = None
 
     def __repr__(self) -> str:
         return f"IndexedMatrix(n={self.n}, dim={self.dim})"
@@ -622,17 +620,23 @@ def derive_decomposition(b: IndexedMatrix, dbar: IndexedMatrix) -> IndexedMatrix
 
 
 def factorization_residual(
-    b: IndexedMatrix, dbar: IndexedMatrix, x: IndexedMatrix, d: IndexedMatrix
+    b: IndexedMatrix,
+    dbar: IndexedMatrix,
+    x: Optional[IndexedMatrix],
+    d: IndexedMatrix,
 ) -> dict:
-    """Entrywise report on b*dbar - d*x over a shared index."""
-    for other in (dbar, x, d):
+    """Entrywise report on b*dbar - d*x over a shared index. x=None stands
+    for the identity: b*dbar is then compared with d itself."""
+    factors = (("b", b), ("dbar", dbar), ("x", x), ("d", d))
+    factors = tuple((name, m) for name, m in factors if m is not None)
+    for _, other in factors:
         if not b.same_index(other):
             raise InputError("matrix indices disagree")
-    for name, m in (("dbar", dbar), ("x", x), ("d", d)):
+    for name, m in factors:
         if not m.is_unitriangular():
             warnings.warn(f"{name} is not unitriangular", stacklevel=2)
     lhs = matrix_product(b, dbar)
-    rhs = matrix_product(d, x)
+    rhs = d if x is None else matrix_product(d, x)
     max_abs = 0
     worst = None
     for i in range(lhs.dim):

@@ -187,11 +187,7 @@ def cmd_factorize(args) -> tuple:
     if not bmat.same_index(dbar):
         raise InputError("B and Dbar are indexed differently")
     if args.d is not None:
-        if args.x is not None:
-            xmat = _load_matrix(args, "x")
-        else:
-            unit = [[int(i == j) for j in range(dbar.dim)] for i in range(dbar.dim)]
-            xmat = branching.IndexedMatrix(dbar.n, dbar.bound, dbar.order, unit)
+        xmat = None if args.x is None else _load_matrix(args, "x")
         dmat = _load_matrix(args, "d")
         report = branching.factorization_residual(bmat, dbar, xmat, dmat)
         return _json(residual_report_to_obj(report)), 0

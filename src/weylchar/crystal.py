@@ -50,15 +50,8 @@ class CrystalWord(Frozen):
             self.words[:k] + (new,) + self.words[k + 1 :], self.bound
         )
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CrystalWord)
-            and self.words == other.words
-            and self.bound == other.bound
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.words, self.bound))
+    def _key(self) -> tuple:
+        return self.words, self.bound
 
     def __repr__(self) -> str:
         return f"CrystalWord({[list(w) for w in self.words]})"

@@ -56,12 +56,22 @@ class Frozen:
     through object.__setattr__; afterwards no field can be set or deleted.
     Every public field holds an immutable value (a tuple, a frozen value, a
     read-only mapping), so one memoized value can serve every caller.
-    Equality and hashing stay with each subclass; the hot memo keys
-    (Partition, MultiPartition, SkewShape) compute their hash once, in an
-    _h slot.
+    Each subclass declares _key(), the fields that make the value: two values
+    are equal when they have the same type and equal keys, and hash as the
+    key. The hot memo keys (Partition, MultiPartition, SkewShape) store that
+    hash once, in an _h slot; the expansions and matrices are unhashable.
     """
 
     __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self._key())})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -105,14 +115,11 @@ class Partition(Frozen):
         """Containment of diagrams: every row of other fits in this shape."""
         return all(self.row(i) >= p for i, p in enumerate(other.parts))
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self.parts == other.parts
+    def _key(self) -> tuple:
+        return self.parts
 
     def __hash__(self) -> int:
         return self._h
-
-    def __repr__(self) -> str:
-        return f"Partition({list(self.parts)})"
 
 
 EMPTY = Partition()
@@ -147,14 +154,8 @@ class ShapeBound(Frozen):
         if any(mk < n for mk in self.m):
             raise InputError(f"bound {self.m} has a component below n={n}")
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ShapeBound) and self.m == other.m
-
-    def __hash__(self) -> int:
-        return hash(self.m)
-
-    def __repr__(self) -> str:
-        return f"ShapeBound({list(self.m)})"
+    def _key(self) -> tuple:
+        return self.m
 
 
 class MultiPartition(Frozen):
@@ -199,8 +200,8 @@ class MultiPartition(Frozen):
             len(c) <= mk for c, mk in zip(self.components, bound.m)
         )
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MultiPartition) and self.components == other.components
+    def _key(self) -> tuple:
+        return self.components
 
     def __hash__(self) -> int:
         return self._h
@@ -231,11 +232,8 @@ class MultiComposition(Frozen):
     def bound(self) -> ShapeBound:
         return ShapeBound(len(row) for row in self.rows)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MultiComposition) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
+    def _key(self) -> tuple:
+        return self.rows
 
     def __repr__(self) -> str:
         return "MC" + repr([list(row) for row in self.rows])
@@ -280,8 +278,8 @@ class Grouping(Frozen):
             acc += s
         return tuple(out)
 
-    def __repr__(self) -> str:
-        return f"Grouping({list(self.sizes)})"
+    def _key(self) -> tuple:
+        return self.sizes
 
 
 def _rows(x: Union[MultiPartition, MultiComposition]) -> tuple:
@@ -486,12 +484,8 @@ class SkewShape(Frozen):
         earlier in reading order."""
         return _cell_table(self.outer, self.inner)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SkewShape)
-            and self.outer == other.outer
-            and self.inner == other.inner
-        )
+    def _key(self) -> tuple:
+        return self.outer, self.inner
 
     def __hash__(self) -> int:
         return self._h

@@ -56,13 +56,10 @@ class SchurExpansion(Frozen):
     def canonical_items(self) -> list:
         return sorted(self.terms.items(), key=lambda kv: canonical_key(kv[0]))
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SchurExpansion)
-            and self.r == other.r
-            and self.degree == other.degree
-            and self.terms == other.terms
-        )
+    def _key(self) -> tuple:
+        return self.r, self.degree, self.terms
+
+    __hash__ = None
 
     def __repr__(self) -> str:
         parts = " + ".join(f"{c}*S{mp!r}" for mp, c in self.canonical_items())
@@ -89,13 +86,10 @@ class MonomialPoly(Frozen):
     def canonical_items(self) -> list:
         return sorted(self.terms.items(), key=lambda kv: kv[0].rows, reverse=True)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MonomialPoly)
-            and self.bound == other.bound
-            and self.degree == other.degree
-            and self.terms == other.terms
-        )
+    def _key(self) -> tuple:
+        return self.bound, self.degree, self.terms
+
+    __hash__ = None
 
     def __repr__(self) -> str:
         return f"MonomialPoly(degree={self.degree}, {len(self.terms)} terms)"

@@ -58,15 +58,8 @@ class Tableau(Frozen):
             raise InputError("mapping does not cover the shape exactly")
         return cls(shape, tuple(mapping[c] for c in shape.cells()), bound)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Tableau)
-            and self.shape == other.shape
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.shape, self.entries))
+    def _key(self) -> tuple:
+        return self.shape, self.entries
 
     def __repr__(self) -> str:
         return f"Tableau({self.shape!r}, {list(self.entries)})"

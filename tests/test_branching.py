@@ -707,6 +707,20 @@ def test_factorization_identity_case():
     assert report["zero"] and report["max_abs"] == 0
 
 
+def test_factorization_residual_none_is_the_identity():
+    b = ShapeBound((3, 3))
+    bmat = multiplicity_matrix(3, b)
+    ident = identity_matrix(3, b)
+    rng = random.Random(11)
+    dbar = IndexedMatrix(3, b, bmat.order, _random_unitriangular(bmat.order, rng))
+    derived = derive_decomposition(bmat, dbar)
+    wrong = IndexedMatrix(3, b, bmat.order, _random_unitriangular(bmat.order, rng))
+    for d in (derived, wrong, ident):
+        report = factorization_residual(bmat, dbar, None, d)
+        assert report == factorization_residual(bmat, dbar, ident, d)
+    assert not report["zero"]
+
+
 def test_factorization_b_identity_case():
     # one-component toy: left factor is the identity, derived equals dbar
     b = ShapeBound((3,))

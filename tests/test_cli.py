@@ -662,6 +662,24 @@ def test_warm_cache_replays_warnings(tmp_path, capsys):
     assert cold[2] == "warning: dbar factor is not unitriangular\n"
 
 
+def test_factorize_residual_warns_on_non_unitriangular_b(tmp_path, capsys):
+    code, bmat_out, _ = run(capsys, "beta-matrix", "--n", "1", "--r", "2")
+    assert code == 0
+    # B has a 1 below its diagonal; Dbar and D are the identity.
+    ident = tmp_path / "identity.json"
+    ident.write_text(json.dumps(dict(json.loads(bmat_out), rows=[[1, 0], [0, 1]])))
+    lower = tmp_path / "lower.json"
+    lower.write_text(json.dumps(dict(json.loads(bmat_out), rows=[[1, 0], [1, 1]])))
+    args = [
+        "factorize", "--B", str(lower), "--Dbar", str(ident), "--D", str(ident),
+        "--cache-dir", str(tmp_path / "c"),
+    ]
+    cold = run(capsys, *args)
+    assert cold == run(capsys, *args)
+    assert cold[:2] == (0, '{"max_abs":1,"zero":false,"worst_entry":[2,1]}\n')
+    assert cold[2] == "warning: b is not unitriangular\n"
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "matrix.json"
     code, out, _ = run(

@@ -13,6 +13,7 @@ from weylchar import (
     Partition,
     ShapeBound,
     SkewShape,
+    as_composition,
     canonical_key,
     cell_order_cmp,
     component_sizes,
@@ -27,6 +28,7 @@ from weylchar import (
     IndexedMatrix,
     MonomialPoly,
     SchurExpansion,
+    Tableau,
     identity_matrix,
     multicompositions,
     multiplicity_matrix,
@@ -375,28 +377,69 @@ def test_value_types_refuse_non_integers(make, x):
         make(x)
 
 
-def test_frozen_base_leaves_equality_to_subclasses():
-    assert "__eq__" not in vars(Frozen) and "__hash__" not in vars(Frozen)
-    for cls in (IndexedMatrix, MonomialPoly, SchurExpansion):
-        assert cls.__hash__ is None
-
-
-# Equal values built along different paths, and the hash each had when it was
-# computed on every call, so that no set or dict order can change.
+# Equal values built along different paths, one pair per hashable type, and
+# the hash formula each keeps, so that no set or dict order can change.
 _EMPTY2 = MultiPartition.empty(2)
 STORED_HASHES = [
     (Partition([2, 1, 0]), Partition((2, 1)), lambda p: hash(p.parts)),
+    (ShapeBound([2, 2]), ShapeBound.for_size(2, 2), lambda b: hash(b.m)),
     (
         mp([[2], [1]]),
         MultiPartition((Partition([2]), Partition([1]))),
         lambda x: hash(x.components),
     ),
     (
+        MultiComposition([[1, 0], [1, 0]]),
+        as_composition(mp([[1], [1]]), _B),
+        lambda c: hash(c.rows),
+    ),
+    (Grouping([1, 2]), Grouping((1, 2)), lambda g: hash(g.sizes)),
+    (
         SkewShape(mp([[2], [1]])),
         SkewShape(mp([[2], [1]]), _EMPTY2),
         lambda s: hash((s.outer, s.inner)),
     ),
+    (
+        superstandard(mp([[2], [1]]), _B),
+        # The bound is not part of the value.
+        Tableau(
+            SkewShape(mp([[2], [1]]), _EMPTY2),
+            [(0, 1), (0, 0), (0, 0)],
+            ShapeBound([3, 3]),
+        ),
+        lambda t: hash((t.shape, t.entries)),
+    ),
+    (
+        CrystalWord([[0, 1], [1]], _B),
+        CrystalWord([[0, 0], [1]], ShapeBound([2, 2])).replace(0, 1, 1),
+        lambda w: hash((w.words, w.bound)),
+    ),
 ]
+
+
+def test_frozen_base_derives_equality_from_the_key():
+    types = {type(make()) for make, _ in VALUE_TYPES}
+    hashable = {cls for cls in types if cls.__hash__ is not None}
+    assert {type(a) for a, _, _ in STORED_HASHES} == hashable
+    for a, b, _ in STORED_HASHES:
+        assert a is not b and a == b and hash(a) == hash(b)
+    # Every value type, the unhashable ones included, equals itself built again.
+    for make, _ in VALUE_TYPES:
+        assert make() == make()
+    # A value never equals another type's value with an equal key, nor its key.
+    same_key = [Partition([1, 1]), ShapeBound([1, 1]), Grouping([1, 1])]
+    assert len({x._key() for x in same_key}) == 1
+    for x in same_key:
+        assert [y for y in same_key if y == x] == [x]
+        assert x != x._key()
+    for cls in (IndexedMatrix, MonomialPoly, SchurExpansion):
+        assert cls.__hash__ is None
+
+
+def test_grouping_is_a_value():
+    assert Grouping([1, 2]) == Grouping([1, 2])
+    assert len({Grouping([1, 2]), Grouping([1, 2])}) == 1
+    assert Grouping([1, 2]) != Grouping([2, 1])
 
 
 @pytest.mark.parametrize(
