@@ -509,6 +509,15 @@ class IndexedMatrix(Frozen):
         return f"IndexedMatrix(n={self.n}, dim={self.dim})"
 
 
+def _one_index(*mats) -> None:
+    """Refuse anything but IndexedMatrix values over one shared index."""
+    for m in mats:
+        if not isinstance(m, IndexedMatrix):
+            raise InputError(f"expected an IndexedMatrix, got {m!r}")
+    if not all(mats[0].same_index(m) for m in mats[1:]):
+        raise InputError("matrix indices disagree")
+
+
 def identity_matrix(n: int, bound: ShapeBound) -> IndexedMatrix:
     order = multipartitions(n, bound.r)
     d = len(order)
@@ -539,8 +548,7 @@ def multiplicity_matrix(
 def invert_unitriangular(mat: IndexedMatrix) -> IndexedMatrix:
     """Exact integer inverse of a unitriangular indexed matrix, found by
     back substitution over the nonzero entries only."""
-    if not isinstance(mat, IndexedMatrix):
-        raise InputError(f"expected an IndexedMatrix, got {mat!r}")
+    _one_index(mat)
     if not mat.is_unitriangular():
         raise InputError("matrix is not unitriangular")
     # Back substitution from the last row up: U X = I gives
@@ -565,9 +573,7 @@ def invert_unitriangular(mat: IndexedMatrix) -> IndexedMatrix:
 
 
 def matrix_product(a: IndexedMatrix, b: IndexedMatrix) -> IndexedMatrix:
-    if not a.same_index(b):
-        raise InputError("matrix indices disagree")
-    d = a.dim
+    _one_index(a, b)
     bt = list(zip(*b.rows))
     rows = [
         [sum(x * y for x, y in zip(arow, bcol) if x and y) for bcol in bt]
@@ -609,13 +615,17 @@ def grouping_factorization_check(
 # Decomposition-matrix harness over externally supplied matrices
 
 
+def _harness_factors(**factors) -> None:
+    """Refuse factors off one index; warn for each not unitriangular."""
+    _one_index(*factors.values())
+    for name, m in factors.items():
+        if not m.is_unitriangular():
+            warnings.warn(f"{name} is not unitriangular", stacklevel=3)
+
+
 def derive_decomposition(b: IndexedMatrix, dbar: IndexedMatrix) -> IndexedMatrix:
     """The product b * dbar, the derived decomposition matrix when X = I."""
-    if not b.same_index(dbar):
-        raise InputError("matrix indices disagree")
-    for name, m in (("left", b), ("dbar", dbar)):
-        if not m.is_unitriangular():
-            warnings.warn(f"{name} factor is not unitriangular", stacklevel=2)
+    _harness_factors(b=b, dbar=dbar)
     return matrix_product(b, dbar)
 
 
@@ -627,22 +637,13 @@ def factorization_residual(
 ) -> dict:
     """Entrywise report on b*dbar - d*x over a shared index. x=None stands
     for the identity: b*dbar is then compared with d itself."""
-    factors = (("b", b), ("dbar", dbar), ("x", x), ("d", d))
-    factors = tuple((name, m) for name, m in factors if m is not None)
-    for _, other in factors:
-        if not b.same_index(other):
-            raise InputError("matrix indices disagree")
-    for name, m in factors:
-        if not m.is_unitriangular():
-            warnings.warn(f"{name} is not unitriangular", stacklevel=2)
+    _harness_factors(b=b, dbar=dbar, **({} if x is None else {"x": x}), d=d)
     lhs = matrix_product(b, dbar)
     rhs = d if x is None else matrix_product(d, x)
-    max_abs = 0
-    worst = None
-    for i in range(lhs.dim):
-        for j in range(lhs.dim):
-            delta = lhs.rows[i][j] - rhs.rows[i][j]
-            if abs(delta) > max_abs:
-                max_abs = abs(delta)
-                worst = (i, j)
+    max_abs, worst = 0, None
+    for i, (lrow, rrow) in enumerate(zip(lhs.rows, rhs.rows)):
+        deltas = [abs(p - q) for p, q in zip(lrow, rrow)]
+        top = max(deltas)
+        if top > max_abs:
+            max_abs, worst = top, (i, deltas.index(top))
     return {"max_abs": max_abs, "zero": max_abs == 0, "worst_entry": worst}

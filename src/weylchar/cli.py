@@ -184,8 +184,6 @@ def cmd_factorize(args) -> tuple:
         if multipartitions(dbar.n, dbar.r) != dbar.order:
             raise InputError("dbar order is not the canonical order")
         bmat = branching.multiplicity_matrix(dbar.n, dbar.bound)
-    if not bmat.same_index(dbar):
-        raise InputError("B and Dbar are indexed differently")
     if args.d is not None:
         xmat = None if args.x is None else _load_matrix(args, "x")
         dmat = _load_matrix(args, "d")

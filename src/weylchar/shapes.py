@@ -338,19 +338,16 @@ def split_components(la: MultiPartition, grouping: Grouping) -> tuple:
     return tuple(out)
 
 
-def cell_order_cmp(x: Cell, y: Cell) -> int:
-    """Total order on cells: positive when x comes first in reading order.
+def _reading_key(c: Cell) -> tuple:
+    """Sort key of the reading order: a larger component, then a larger
+    column, then a smaller row comes first."""
+    return -c.k, -c.j, c.i
 
-    x precedes y when its component is larger, then its column is larger,
-    then its row is smaller.
-    """
-    if x.k != y.k:
-        return 1 if x.k > y.k else -1
-    if x.j != y.j:
-        return 1 if x.j > y.j else -1
-    if x.i != y.i:
-        return 1 if x.i < y.i else -1
-    return 0
+
+def cell_order_cmp(x: Cell, y: Cell) -> int:
+    """Total order on cells: positive when x comes first in reading order."""
+    kx, ky = _reading_key(x), _reading_key(y)
+    return (kx < ky) - (kx > ky)
 
 
 @cache
@@ -445,7 +442,7 @@ def _cell_table(outer: MultiPartition, inner: MultiPartition) -> tuple:
         for i, rowlen in enumerate(comp.parts)
         for j in range(inner.component(k).row(i), rowlen)
     ]
-    cells.sort(key=lambda c: (-c.k, -c.j, c.i))  # descending cell order
+    cells.sort(key=_reading_key)
     index = {c: p for p, c in enumerate(cells)}
     right = tuple(index.get(Cell(c.i, c.j + 1, c.k)) for c in cells)
     above = tuple(index.get(Cell(c.i - 1, c.j, c.k)) for c in cells)

@@ -237,34 +237,28 @@ def _basis_change(degree: int, r: int) -> dict:
     }
 
 
-def _change_basis(expansion: SchurExpansion, row_of) -> SchurExpansion:
-    """Multiply the coefficient row vector of an expansion by the matrix
-    whose row at each index entry is row_of(entry), as (position,
-    coefficient) pairs over the canonical order of the degree. The sum is
-    kept by position, so no multipartition is hashed per product."""
+def to_weyl_basis(expansion: SchurExpansion) -> SchurExpansion:
+    """Rewrite a Schur-basis expansion in the character basis. The sum is
+    kept by position in the canonical order of the degree, so no
+    multipartition is hashed per product."""
+    rows = _basis_change(expansion.degree, expansion.r)
     order = multipartitions(expansion.degree, expansion.r)
     acc = [0] * len(order)
     for src, a in expansion.terms.items():
-        for j, c in row_of(src):
+        for j, c in rows[src]:
             acc[j] += a * c
     terms = {order[j]: x for j, x in enumerate(acc) if x}
     return SchurExpansion(expansion.r, expansion.degree, terms)
 
 
-def to_weyl_basis(expansion: SchurExpansion) -> SchurExpansion:
-    """Rewrite a Schur-basis expansion in the character basis."""
-    rows = _basis_change(expansion.degree, expansion.r)
-    return _change_basis(expansion, rows.__getitem__)
-
-
 def to_schur_basis(expansion: SchurExpansion) -> SchurExpansion:
     """Rewrite a character-basis expansion in the Schur basis: the basis
     element la is weyl_schur(la)."""
-    order = multipartitions(expansion.degree, expansion.r)
-    pos = {mp: j for j, mp in enumerate(order)}
-    return _change_basis(
-        expansion, lambda la: [(pos[mu], c) for mu, c in weyl_schur(la).terms.items()]
-    )
+    terms: dict = {}
+    for la, a in expansion.terms.items():
+        for mu, c in weyl_schur(la).terms.items():
+            terms[mu] = terms.get(mu, 0) + a * c
+    return SchurExpansion(expansion.r, expansion.degree, terms)
 
 
 def structure_constants(la: MultiPartition, mu: MultiPartition) -> SchurExpansion:

@@ -334,3 +334,18 @@ def dense_unitriangular_inverse(rows):
         for j in range(i + 1, d):
             inv[i][j] = -sum(inv[i][k] * rows[k][j] for k in range(i, j))
     return inv
+
+
+def double_loop_residual(lhs, rhs):
+    """The residual report on two square integer matrices given as lists of
+    rows, by the double loop over every entry in reading order: the largest
+    absolute difference, and the first (row, column) where it is reached."""
+    max_abs = 0
+    worst = None
+    for i in range(len(lhs)):
+        for j in range(len(lhs)):
+            delta = lhs[i][j] - rhs[i][j]
+            if abs(delta) > max_abs:
+                max_abs = abs(delta)
+                worst = (i, j)
+    return {"max_abs": max_abs, "zero": max_abs == 0, "worst_entry": worst}

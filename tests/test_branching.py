@@ -51,6 +51,7 @@ from oracles import (
     brute_ssyt_count,
     brute_subdiagrams,
     dense_unitriangular_inverse,
+    double_loop_residual,
     product_filter_layer_chains,
     unindexed_chain_sum,
 )
@@ -758,6 +759,98 @@ def test_factorization_rejects_mismatched_index():
         derive_decomposition(
             multiplicity_matrix(2, b2), identity_matrix(3, b3)
         )
+
+
+# The four matrix functions, each with its number of matrix arguments.
+MATRIX_CALLS = [
+    (invert_unitriangular, 1),
+    (matrix_product, 2),
+    (derive_decomposition, 2),
+    (factorization_residual, 4),
+]
+NOT_MATRICES = [None, [[1, 0], [0, 1]], "x", MultiPartition([[1], []])]
+
+
+@pytest.mark.parametrize("bad", NOT_MATRICES, ids=["none", "lists", "str", "multipartition"])
+@pytest.mark.parametrize(
+    "call,arity", MATRIX_CALLS, ids=lambda v: getattr(v, "__name__", str(v))
+)
+def test_matrix_functions_refuse_non_matrices(call, arity, bad):
+    ident = identity_matrix(1, ShapeBound((1, 1)))
+    for pos in range(arity):
+        if bad is None and (call, pos) == (factorization_residual, 2):
+            continue  # x=None stands for the identity
+        mats = [ident] * arity
+        mats[pos] = bad
+        with pytest.raises(InputError, match="expected an IndexedMatrix"):
+            call(*mats)
+
+
+@pytest.mark.parametrize(
+    "call,arity", MATRIX_CALLS[1:], ids=lambda v: getattr(v, "__name__", str(v))
+)
+def test_matrix_functions_refuse_mismatched_indices(call, arity):
+    # Same size and bound, the index order reversed: only the order differs.
+    b = ShapeBound((2, 2))
+    ident = identity_matrix(2, b)
+    flipped = IndexedMatrix(2, b, ident.order[::-1], ident.rows)
+    for other in (flipped, identity_matrix(1, ShapeBound((1, 1)))):
+        for pos in range(arity):
+            mats = [ident] * arity
+            mats[pos] = other
+            with pytest.raises(InputError, match="matrix indices disagree"):
+                call(*mats)
+
+
+def test_factorization_residual_refuses_index_before_warning():
+    # A non-unitriangular factor over another index is refused, not warned.
+    b = ShapeBound((1, 1))
+    ident = identity_matrix(1, b)
+    other = IndexedMatrix(1, b, ident.order[::-1], [[2, 0], [0, 1]])
+    with pytest.raises(InputError, match="matrix indices disagree"):
+        factorization_residual(ident, ident, other, ident)
+    with pytest.raises(InputError, match="expected an IndexedMatrix"):
+        factorization_residual(ident, ident, ident, None)
+
+
+@pytest.mark.filterwarnings("ignore:.* is not unitriangular")
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_one_pass_residual_matches_double_loop(data):
+    # Entries from a short range tie the largest difference often, so the
+    # first entry in reading order where it is reached is what is tested.
+    b = ShapeBound((2, 2))
+    order = multipartitions(2, b.r)
+    d = len(order)
+    entry = st.integers(-2, 2)
+    square = st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d)
+    bm, dbar, x, dm = (IndexedMatrix(2, b, order, data.draw(square)) for _ in range(4))
+    for xm in (x, None):
+        lhs = matrix_product(bm, dbar).rows
+        rhs = dm.rows if xm is None else matrix_product(dm, xm).rows
+        expected = double_loop_residual(lhs, rhs)
+        assert factorization_residual(bm, dbar, xm, dm) == expected
+
+
+def test_harness_modes_warn_in_one_wording():
+    b = ShapeBound((1, 1))
+    order = multipartitions(1, b.r)
+    lower = IndexedMatrix(1, b, order, [[1, 0], [1, 1]])
+    ident = identity_matrix(1, b)
+    with pytest.warns(UserWarning) as derived:
+        derive_decomposition(lower, lower)
+    assert [str(w.message) for w in derived] == [
+        "b is not unitriangular", "dbar is not unitriangular",
+    ]
+    with pytest.warns(UserWarning) as residual:
+        factorization_residual(lower, lower, lower, lower)
+    assert [str(w.message) for w in residual] == [
+        "b is not unitriangular", "dbar is not unitriangular",
+        "x is not unitriangular", "d is not unitriangular",
+    ]
+    with pytest.warns(UserWarning) as residual:
+        factorization_residual(ident, lower, None, ident)
+    assert [str(w.message) for w in residual] == ["dbar is not unitriangular"]
 
 
 @settings(max_examples=30, deadline=None)

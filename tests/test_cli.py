@@ -659,7 +659,7 @@ def test_warm_cache_replays_warnings(tmp_path, capsys):
     warm = run(capsys, *args)
     assert cold == warm
     assert cold[0] == 0
-    assert cold[2] == "warning: dbar factor is not unitriangular\n"
+    assert cold[2] == "warning: dbar is not unitriangular\n"
 
 
 def test_factorize_residual_warns_on_non_unitriangular_b(tmp_path, capsys):
@@ -678,6 +678,40 @@ def test_factorize_residual_warns_on_non_unitriangular_b(tmp_path, capsys):
     assert cold == run(capsys, *args)
     assert cold[:2] == (0, '{"max_abs":1,"zero":false,"worst_entry":[2,1]}\n')
     assert cold[2] == "warning: b is not unitriangular\n"
+
+
+def test_factorize_modes_warn_alike_on_non_unitriangular_dbar(tmp_path, capsys):
+    code, bmat_out, _ = run(capsys, "beta-matrix", "--n", "1", "--r", "2")
+    assert code == 0
+    payload = json.loads(bmat_out)
+    swapped = tmp_path / "swapped.json"
+    swapped.write_text(json.dumps(dict(payload, rows=[[0, 1], [1, 0]])))
+    ident = tmp_path / "identity.json"
+    ident.write_text(json.dumps(dict(payload, rows=[[1, 0], [0, 1]])))
+    derive = ["factorize", "--Dbar", str(swapped)]
+    residual = derive + ["--D", str(ident)]
+    for args in (derive, residual):
+        args += ["--cache-dir", str(tmp_path / "c")]
+        cold = run(capsys, *args)
+        assert run(capsys, *args) == cold
+        assert cold[0] == 0
+        assert cold[2] == "warning: dbar is not unitriangular\n"
+
+
+def test_factorize_b_over_another_index_exits_2(tmp_path, capsys):
+    code, bmat_out, _ = run(capsys, "beta-matrix", "--n", "1", "--r", "2")
+    assert code == 0
+    payload = json.loads(bmat_out)
+    ident = tmp_path / "identity.json"
+    ident.write_text(json.dumps(dict(payload, rows=[[1, 0], [0, 1]])))
+    flipped = tmp_path / "flipped.json"
+    flipped.write_text(
+        json.dumps(dict(payload, order=payload["order"][::-1], rows=[[1, 0], [0, 1]]))
+    )
+    for extra in ([], ["--D", str(ident)]):
+        args = ["factorize", "--B", str(flipped), "--Dbar", str(ident), *extra]
+        code, out, err = run(capsys, *args)
+        assert (code, out, err) == (2, "", "error: matrix indices disagree\n")
 
 
 def test_out_file(tmp_path, capsys):

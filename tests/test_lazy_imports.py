@@ -80,7 +80,7 @@ def test_warm_replay_loads_no_engine_code(command, tmp_path):
     assert (warm_code, warm_out, warm_warnings) == (cold_code, cold_out, cold_warnings)
     assert cold_code == 0 and cold_out
     if command == "factorize":
-        assert cold_warnings == ["warning: dbar factor is not unitriangular"]
+        assert cold_warnings == ["warning: dbar is not unitriangular"]
 
 
 def test_import_loads_no_submodule():
