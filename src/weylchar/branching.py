@@ -41,8 +41,12 @@ from .shapes import (
     ShapeBound,
     SkewShape,
     as_composition,
+    expect,
     ints,
+    items,
     multipartitions,
+    one_r,
+    size_and_count,
     split_components,
     weak_composition,
 )
@@ -267,8 +271,7 @@ def layer_chains(la: MultiPartition, sizes: tuple) -> Iterator[tuple]:
     under one level are memoized, so every block that reaches a level
     shares them.
     """
-    if not isinstance(la, MultiPartition):
-        raise InputError(f"expected a MultiPartition, got {la!r}")
+    expect(MultiPartition, la)
     sizes = weak_composition(sizes, la.size)
     if len(sizes) != la.r:
         raise InputError("component counts disagree")
@@ -419,8 +422,7 @@ def multiplicity_row_by_solve(la: MultiPartition) -> dict:
     minus the contributions of the earlier rows, using that the Kostka
     matrix is unitriangular along that order.
     """
-    if not isinstance(la, MultiPartition):
-        raise InputError(f"expected a MultiPartition, got {la!r}")
+    expect(MultiPartition, la)
     return dict(_solve_row(la))
 
 
@@ -431,10 +433,8 @@ def multiplicity(la: MultiPartition, mu: MultiPartition, *, method: str = "chain
     engine accepts."""
     if method not in METHODS:
         raise InputError(f"unknown method {method!r}; pick from {METHODS}")
-    if not (isinstance(la, MultiPartition) and isinstance(mu, MultiPartition)):
-        raise InputError(f"expected two MultiPartition values, got {la!r} and {mu!r}")
-    if la.r != mu.r:
-        raise InputError("component counts disagree")
+    expect(MultiPartition, la, mu)
+    one_r(la, mu)
     if la.size != mu.size:
         raise InputError(f"sizes disagree: {la.size} vs {mu.size}")
     if method == "chain":
@@ -454,8 +454,10 @@ class IndexedMatrix(Frozen):
     __slots__ = ("n", "bound", "order", "rows", "_pos")
 
     def __init__(self, n: int, bound: ShapeBound, order, rows):
-        order = tuple(order)
-        rows = tuple(map(ints, rows))
+        expect(ShapeBound, bound)
+        order = items(order)
+        expect(MultiPartition, *order)
+        rows = tuple(map(ints, items(rows)))
         if len(rows) != len(order) or any(len(r) != len(order) for r in rows):
             raise InputError("matrix is not square over its index")
         object.__setattr__(self, "n", n)
@@ -511,14 +513,14 @@ class IndexedMatrix(Frozen):
 
 def _one_index(*mats) -> None:
     """Refuse anything but IndexedMatrix values over one shared index."""
-    for m in mats:
-        if not isinstance(m, IndexedMatrix):
-            raise InputError(f"expected an IndexedMatrix, got {m!r}")
+    expect(IndexedMatrix, *mats)
     if not all(mats[0].same_index(m) for m in mats[1:]):
         raise InputError("matrix indices disagree")
 
 
 def identity_matrix(n: int, bound: ShapeBound) -> IndexedMatrix:
+    expect(ShapeBound, bound)
+    n, _ = size_and_count(n, bound.r)
     order = multipartitions(n, bound.r)
     d = len(order)
     rows = [[int(i == j) for j in range(d)] for i in range(d)]
@@ -529,6 +531,8 @@ def multiplicity_matrix(
     n: int, bound: ShapeBound, method: str = "chain"
 ) -> IndexedMatrix:
     """The full multiplicity matrix over the canonical order."""
+    expect(ShapeBound, bound)
+    n, _ = size_and_count(n, bound.r)
     bound.require_stable(n)
     order = multipartitions(n, bound.r)
     rows = [
@@ -594,10 +598,8 @@ def grouping_factorization_check(
     Requires equal grouped size vectors; returns (equal, full value, product
     of group values), each group evaluated in its own smaller engine.
     """
-    if not (isinstance(la, MultiPartition) and isinstance(mu, MultiPartition)):
-        raise InputError(f"expected two MultiPartition values, got {la!r} and {mu!r}")
-    if not isinstance(grouping, Grouping):
-        raise InputError(f"expected a Grouping, got {grouping!r}")
+    expect(MultiPartition, la, mu)
+    expect(Grouping, grouping)
     las = split_components(la, grouping)
     mus = split_components(mu, grouping)
     if tuple(x.size for x in las) != tuple(x.size for x in mus):

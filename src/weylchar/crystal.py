@@ -18,7 +18,9 @@ from .shapes import (
     MultiPartition,
     Partition,
     ShapeBound,
+    expect,
     ints,
+    items,
 )
 from .tableaux import (
     Tableau,
@@ -34,7 +36,8 @@ class CrystalWord(Frozen):
     __slots__ = ("words", "bound")
 
     def __init__(self, words, bound: ShapeBound):
-        ws = tuple(map(ints, words))
+        expect(ShapeBound, bound)
+        ws = tuple(map(ints, items(words)))
         if len(ws) != bound.r:
             raise InputError("word count does not match component count")
         for w, mk in zip(ws, bound.m):
@@ -160,9 +163,11 @@ def crystal_components(shape, bound: ShapeBound) -> list:
     The graph is built inside each equivalence class; every component holds
     exactly one singular filling, whose weight labels the component.
     """
+    # enumerate_all_tableaux refuses a bad shape or bound before ops reads it.
+    fillings = enumerate_all_tableaux(shape, bound)
     ops = tuple(operator_indices(bound))
     components = []
-    for cls in equivalence_classes(enumerate_all_tableaux(shape, bound)):
+    for cls in equivalence_classes(fillings):
         words = [reading(t) for t in cls]
         by_word = {w: p for p, w in enumerate(words)}
         parent = list(range(len(cls)))

@@ -21,6 +21,32 @@ def ints(xs: Iterable) -> tuple:
         raise InputError(f"expected integers: {exc}") from None
 
 
+def items(xs) -> tuple:
+    """The items of xs as a tuple; anything that is not iterable is refused."""
+    try:
+        it = iter(xs)
+    except TypeError:
+        raise InputError(f"not iterable: {xs!r}") from None
+    return tuple(it)
+
+
+def expect(cls, *values) -> None:
+    """Refuse a value that is not a cls, a class or a tuple of classes, in one
+    wording: "expected a ShapeBound, got None", "an" before a vowel."""
+    for v in values:
+        if not isinstance(v, cls):
+            classes = cls if isinstance(cls, tuple) else (cls,)
+            names = " or ".join(c.__name__ for c in classes)
+            article = "an" if names[0] in "AEIOU" else "a"
+            raise InputError(f"expected {article} {names}, got {v!r}")
+
+
+def one_r(a, b) -> None:
+    """Refuse two values whose component counts differ."""
+    if a.r != b.r:
+        raise InputError(f"component counts disagree: {a.r} vs {b.r}")
+
+
 # The largest cap m_k, and the largest size and component count of a
 # multipartition or a default bound.
 MAX_CAP = 10_000
@@ -165,7 +191,7 @@ class MultiPartition(Frozen):
 
     def __init__(self, components: Iterable):
         comps = tuple(
-            c if isinstance(c, Partition) else Partition(c) for c in components
+            c if isinstance(c, Partition) else Partition(c) for c in items(components)
         )
         if not comps:
             raise InputError("need at least one component")
@@ -186,9 +212,9 @@ class MultiPartition(Frozen):
         return self.components[k]
 
     def contains(self, other: "MultiPartition") -> bool:
-        if self.r != other.r:
-            return False
-        return all(a.contains(b) for a, b in zip(self.components, other.components))
+        return self.r == other.r and all(
+            a.contains(b) for a, b in zip(self.components, other.components)
+        )
 
     def concentrated_at(self) -> Union[int, None]:
         """Index of the single nonempty component, or None."""
@@ -216,13 +242,23 @@ class MultiComposition(Frozen):
     __slots__ = ("rows", "size")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        rs = tuple(map(ints, rows))
+        rs = tuple(map(ints, items(rows)))
         if not rs:
             raise InputError("need at least one component")
         if any(x < 0 for row in rs for x in row):
             raise InputError("negative entry in composition")
         object.__setattr__(self, "rows", rs)
         object.__setattr__(self, "size", sum(sum(row) for row in rs))
+
+    @classmethod
+    def _trusted(cls, rows: tuple, size: int) -> "MultiComposition":
+        """The value of rows that the engine built and knows to be valid: a
+        nonempty tuple of tuples of nonnegative ints summing to size. Input
+        from outside the engine goes through __init__."""
+        mc = object.__new__(cls)
+        object.__setattr__(mc, "rows", rows)
+        object.__setattr__(mc, "size", size)
+        return mc
 
     @property
     def r(self) -> int:
@@ -314,11 +350,11 @@ def dominates(la, mu) -> bool:
     r and total size. Each component is zero-padded to the longer of its two
     rows; more padding would only repeat a prefix comparison already made.
     """
-    ra, rb = _rows(la), _rows(mu)
-    if len(ra) != len(rb):
-        raise InputError(f"component counts disagree: {len(ra)} vs {len(rb)}")
+    expect((MultiPartition, MultiComposition), la, mu)
+    one_r(la, mu)
     if la.size != mu.size:
         raise InputError(f"unequal sizes: {la.size} vs {mu.size}")
+    ra, rb = _rows(la), _rows(mu)
     pairs = [p for a, b in zip(ra, rb) for p in zip_longest(a, b, fillvalue=0)]
     return prefix_dominates([x for x, _ in pairs], [y for _, y in pairs])
 
@@ -455,8 +491,10 @@ class SkewShape(Frozen):
     __slots__ = ("outer", "inner", "_h")
 
     def __init__(self, outer: MultiPartition, inner: MultiPartition = None):
+        expect(MultiPartition, outer)
         if inner is None:
             inner = MultiPartition.empty(outer.r)
+        expect(MultiPartition, inner)
         if not outer.contains(inner):
             raise InputError(f"inner {inner} not contained in outer {outer}")
         object.__setattr__(self, "outer", outer)

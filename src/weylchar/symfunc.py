@@ -6,6 +6,7 @@ Products are taken in the stable ring (no cap on part counts); a bound only
 enters when expanding into monomials of finitely many variables.
 """
 
+from collections.abc import Mapping
 from functools import cache, lru_cache
 from itertools import product as iproduct
 from math import prod
@@ -29,8 +30,10 @@ from .shapes import (
     ShapeBound,
     canonical_key,
     compositions_of,
+    expect,
     ints,
     multipartitions,
+    one_r,
     partitions_of,
     size_and_count,
 )
@@ -42,7 +45,9 @@ class SchurExpansion(Frozen):
     __slots__ = ("r", "degree", "terms")
 
     def __init__(self, r: int, degree: int, terms: dict):
+        expect(Mapping, terms)
         clean = {mp: c for mp, c in zip(terms, ints(terms.values())) if c}
+        expect(MultiPartition, *clean)
         for mp in clean:
             if mp.r != r or mp.size != degree:
                 raise InputError(f"index {mp} not of degree {degree} with {r} components")
@@ -72,7 +77,10 @@ class MonomialPoly(Frozen):
     __slots__ = ("bound", "degree", "terms")
 
     def __init__(self, bound: ShapeBound, degree: int, terms: dict):
+        expect(ShapeBound, bound)
+        expect(Mapping, terms)
         clean = {mc: c for mc, c in zip(terms, ints(terms.values())) if c}
+        expect(MultiComposition, *clean)
         for mc in clean:
             if mc.size != degree or tuple(map(len, mc.rows)) != bound.m:
                 raise InputError(f"monomial {mc} does not match degree/bound")
@@ -107,7 +115,8 @@ def _monomials(row, bound: ShapeBound, degree: int) -> MonomialPoly:
     """The monomial expansion of the sum of b * s_mu over the (mu, b) pairs
     of row, s_mu the product of the component Schur polynomials. Terms are
     summed by row tuples, each the product of its component Kostka numbers,
-    and each multicomposition is built once, for the polynomial returned."""
+    and each multicomposition is built once, for the polynomial returned,
+    without checking again the rows that compositions_of made."""
     terms: dict = {}
     for mu, b in row:
         factors = [
@@ -117,7 +126,9 @@ def _monomials(row, bound: ShapeBound, degree: int) -> MonomialPoly:
             rows, coeffs = zip(*combo)
             terms[rows] = terms.get(rows, 0) + b * prod(coeffs)
     return MonomialPoly(
-        bound, degree, {MultiComposition(rows): c for rows, c in terms.items()}
+        bound,
+        degree,
+        {MultiComposition._trusted(rows, degree): c for rows, c in terms.items()},
     )
 
 
@@ -138,8 +149,7 @@ def weyl_schur(la: MultiPartition) -> SchurExpansion:
     expansion is unitriangular against the Schur basis. Memoized: each la
     has one expansion.
     """
-    if not isinstance(la, MultiPartition):
-        raise InputError(f"expected a MultiPartition, got {la!r}")
+    expect(MultiPartition, la)
     return _weyl_schur(la)
 
 
@@ -156,14 +166,11 @@ def character(la: MultiPartition, bound: ShapeBound = None) -> MonomialPoly:
     in one pass over the row weyl_schur(la); by construction the coefficient
     of x^mu equals the semistandard tableau count of shape la and weight mu.
     """
-    if not isinstance(la, MultiPartition):
-        raise InputError(f"expected a MultiPartition, got {la!r}")
+    expect(MultiPartition, la)
     if bound is None:
         bound = ShapeBound.for_size(la.size, la.r)
-    elif not isinstance(bound, ShapeBound):
-        raise InputError(f"expected a ShapeBound, got {bound!r}")
-    elif bound.r != la.r:
-        raise InputError("bound and shape disagree on component count")
+    expect(ShapeBound, bound)
+    one_r(la, bound)
     bound.require_stable(la.size)
     return _monomials(weyl_schur(la).terms.items(), bound, la.size)
 
@@ -208,8 +215,8 @@ def _basis_product(xi: MultiPartition, eta: MultiPartition, interned: dict) -> t
 
 def schur_product(a: SchurExpansion, b: SchurExpansion) -> SchurExpansion:
     """Product of Schur expansions in the stable ring, componentwise LR."""
-    if a.r != b.r:
-        raise InputError("component counts disagree")
+    expect(SchurExpansion, a, b)
+    one_r(a, b)
     products, interned = _product_table(a.r, a.degree, b.degree)
     terms: dict = {}
     for xi, ca in a.terms.items():
@@ -263,8 +270,8 @@ def to_schur_basis(expansion: SchurExpansion) -> SchurExpansion:
 
 def structure_constants(la: MultiPartition, mu: MultiPartition) -> SchurExpansion:
     """Expansion of a product of two character-basis elements in that basis."""
-    if la.r != mu.r:
-        raise InputError("component counts disagree")
+    expect(MultiPartition, la, mu)
+    one_r(la, mu)
     product = schur_product(weyl_schur(la), weyl_schur(mu))
     return to_weyl_basis(product)
 
@@ -321,8 +328,9 @@ def truncate_to_bound(expansion: SchurExpansion, bound: ShapeBound) -> SchurExpa
     Products live in the stable ring; restricting to finitely many variables
     kills every Schur factor with more rows than variables.
     """
-    if bound.r != expansion.r:
-        raise InputError("component counts disagree")
+    expect(SchurExpansion, expansion)
+    expect(ShapeBound, bound)
+    one_r(expansion, bound)
     return SchurExpansion(
         expansion.r,
         expansion.degree,

@@ -15,6 +15,10 @@ from .shapes import (
     ShapeBound,
     SkewShape,
     as_composition,
+    expect,
+    ints,
+    items,
+    one_r,
 )
 
 
@@ -23,6 +27,14 @@ class Entry(NamedTuple):
 
     a: int
     c: int
+
+
+def _entry(e) -> Entry:
+    """e, which is not an Entry, as one, refused unless it is a pair of ints."""
+    pair = ints(e)
+    if len(pair) != 2:
+        raise InputError(f"entry {pair} is not a (letter, component) pair")
+    return Entry(*pair)
 
 
 def entry_le(e1: Entry, e2: Entry) -> bool:
@@ -36,13 +48,14 @@ class Tableau(Frozen):
     __slots__ = ("shape", "entries", "bound")
 
     def __init__(self, shape: SkewShape, entries, bound: ShapeBound):
-        ents = tuple(e if isinstance(e, Entry) else Entry(*e) for e in entries)
+        expect(SkewShape, shape)
+        expect(ShapeBound, bound)
+        ents = tuple(e if isinstance(e, Entry) else _entry(e) for e in items(entries))
         if len(ents) != shape.n_cells:
             raise InputError(
                 f"{len(ents)} entries for {shape.n_cells} cells"
             )
-        if bound.r != shape.r:
-            raise InputError("bound and shape disagree on component count")
+        one_r(shape, bound)
         for e in ents:
             if not (0 <= e.c < bound.r and 0 <= e.a < bound.m[e.c]):
                 raise InputError(f"entry {e} outside bound {bound}")
@@ -134,14 +147,14 @@ def enumerate_tableaux(
     shape: SkewShape, weight: MultiComposition
 ) -> Iterator[Tableau]:
     """All semistandard fillings of the shape with the given weight."""
+    expect(SkewShape, shape)
+    expect(MultiComposition, weight)
     if shape.n_cells != weight.size:
         raise InputError(
             f"shape has {shape.n_cells} cells but weight has size {weight.size}"
         )
-    bound = weight.bound
-    if bound.r != shape.r:
-        raise InputError("weight and shape disagree on component count")
-    return _fillings(shape, bound, [list(row) for row in weight.rows])
+    one_r(shape, weight)
+    return _fillings(shape, weight.bound, [list(row) for row in weight.rows])
 
 
 def enumerate_all_tableaux(shape: SkewShape, bound: ShapeBound) -> Iterator[Tableau]:
@@ -149,8 +162,9 @@ def enumerate_all_tableaux(shape: SkewShape, bound: ShapeBound) -> Iterator[Tabl
 
     The order is that of enumerate_tableaux restricted to each weight.
     """
-    if bound.r != shape.r:
-        raise InputError("bound and shape disagree on component count")
+    expect(SkewShape, shape)
+    expect(ShapeBound, bound)
+    one_r(shape, bound)
     # No filling has more than n_cells uses of one entry, so this never binds.
     return _fillings(shape, bound, [[shape.n_cells] * mk for mk in bound.m])
 
@@ -162,10 +176,8 @@ def count_tableaux(shape: SkewShape, weight: MultiComposition) -> int:
 def count_straight_tableaux(la: MultiPartition, mu: MultiPartition) -> int:
     """Tableau count for a straight shape with a multipartition weight; every
     bound mu fits gives it, so mu is padded to the stable bound of la."""
-    if not (isinstance(la, MultiPartition) and isinstance(mu, MultiPartition)):
-        raise InputError(f"expected two MultiPartition values, got {la!r} and {mu!r}")
-    if la.r != mu.r:
-        raise InputError("component counts disagree")
+    expect(MultiPartition, la, mu)
+    one_r(la, mu)
     bound = ShapeBound.for_size(la.size, la.r)
     return count_tableaux(SkewShape(la), as_composition(mu, bound))
 

@@ -509,8 +509,8 @@ def test_multiplicity_refusals_in_order(method):
     for args, kwargs, message in (
         ((la, la), {"method": "guess"}, "unknown method"),
         (([[1]], [[1]]), {"method": "guess"}, "unknown method"),
-        (([[1]], [[1]]), {"method": method}, "expected two MultiPartition"),
-        ((la, [[1], []]), {"method": method}, "expected two MultiPartition"),
+        (([[1]], [[1]]), {"method": method}, "expected a MultiPartition"),
+        ((la, [[1], []]), {"method": method}, "expected a MultiPartition"),
         ((la, mp([[1]])), {"method": method}, "component counts disagree"),
         ((mp([[2], []]), la), {"method": method}, "sizes disagree"),
     ):

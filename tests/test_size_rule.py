@@ -189,7 +189,7 @@ def test_runaway_call_refused_at_once(name):
 # A bound must have as many components as the shape it fills.
 TWO = MP([[1], [1]])
 ONE_COMPONENT = ShapeBound([2])
-COUNT_MISMATCH = "bound and shape disagree on component count"
+COUNT_MISMATCH = "component counts disagree: 2 vs 1"
 
 
 def test_fillings_refuse_a_bound_of_another_component_count():
