@@ -160,8 +160,8 @@ class CrystalComponent(NamedTuple):
 def crystal_components(shape, bound: ShapeBound) -> list:
     """Connected components of the crystal graph on all fillings of a shape.
 
-    The graph is built inside each equivalence class; every component holds
-    exactly one singular filling, whose weight labels the component.
+    Inside each equivalence class, every component is the lowering orbit of
+    its one singular filling, whose weight labels the component.
     """
     # enumerate_all_tableaux refuses a bad shape or bound before ops reads it.
     fillings = enumerate_all_tableaux(shape, bound)
@@ -170,46 +170,43 @@ def crystal_components(shape, bound: ShapeBound) -> list:
     for cls in equivalence_classes(fillings):
         words = [reading(t) for t in cls]
         by_word = {w: p for p, w in enumerate(words)}
-        parent = list(range(len(cls)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        edges = []
-        for p, w in enumerate(words):
-            for op in ops:
-                out = ftilde(w, op)
-                if out is None:
-                    continue
-                q = by_word.get(out)
-                if q is None:
-                    raise ConsistencyError(
-                        "lowering left the equivalence class: convention bug"
-                    )
-                edges.append((p, op, q))
-                ra, rb = find(p), find(q)
-                if ra != rb:
-                    parent[ra] = rb
-        groups: dict = {}
-        for p in range(len(cls)):
-            groups.setdefault(find(p), []).append(p)
-        for members in groups.values():
-            sing = [p for p in members if is_singular_word(words[p])]
-            if len(sing) != 1:
-                raise ConsistencyError(
-                    f"component has {len(sing)} singular fillings: convention bug"
-                )
-            weight = word_weight(words[sing[0]])
+        tops = [p for p, w in enumerate(words) if is_singular_word(w)]
+        owner = {top: top for top in tops}
+        lowered = {}  # filling -> its (operator, target) pairs in operator order
+        for top in tops:
+            members = [top]
+            for p in members:
+                out = lowered[p] = []
+                for op in ops:
+                    down = ftilde(words[p], op)
+                    if down is None:
+                        continue
+                    q = by_word.get(down)
+                    if q is None:
+                        raise ConsistencyError(
+                            "lowering left the equivalence class: convention bug"
+                        )
+                    if q not in owner:
+                        owner[q] = top
+                        members.append(q)
+                    elif owner[q] != top:
+                        raise ConsistencyError(
+                            "two singular fillings share a component: convention bug"
+                        )
+                    out.append((op, q))
+            members.sort()
+            remap = {p: i for i, p in enumerate(members)}
+            weight = word_weight(words[top])
             hw = MultiPartition(Partition(row) for row in weight.rows)
-            remap = {p: q for q, p in enumerate(members)}
             comp_edges = tuple(
-                (remap[s], op, remap[d]) for (s, op, d) in edges if s in remap
+                (remap[p], op, remap[q]) for p in members for op, q in lowered[p]
             )
             components.append(
                 CrystalComponent(hw, tuple(cls[p] for p in members), comp_edges)
+            )
+        if len(owner) < len(cls):
+            raise ConsistencyError(
+                "a filling lies below no singular filling: convention bug"
             )
     components.sort(
         key=lambda c: (
