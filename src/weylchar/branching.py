@@ -455,6 +455,7 @@ class IndexedMatrix(Frozen):
 
     def __init__(self, n: int, bound: ShapeBound, order, rows):
         expect(ShapeBound, bound)
+        n, _ = size_and_count(n, bound.r)
         order = items(order)
         expect(MultiPartition, *order)
         rows = tuple(map(ints, items(rows)))

@@ -68,12 +68,12 @@ class OperatorIndex(NamedTuple):
 
 
 def operator_indices(bound: ShapeBound) -> Iterator[OperatorIndex]:
-    for k, mk in enumerate(bound.m):
-        for i in range(mk - 1):
-            yield OperatorIndex(i, k)
+    expect(ShapeBound, bound)
+    return (OperatorIndex(i, k) for k, mk in enumerate(bound.m) for i in range(mk - 1))
 
 
 def word_weight(w: CrystalWord) -> MultiComposition:
+    expect(CrystalWord, w)
     rows = [[0] * mk for mk in w.bound.m]
     for k, word in enumerate(w.words):
         for a in word:
@@ -81,10 +81,16 @@ def word_weight(w: CrystalWord) -> MultiComposition:
     return MultiComposition(rows)
 
 
-def _check_op(w: CrystalWord, op: OperatorIndex) -> None:
-    i, k = op
-    if not (0 <= k < w.bound.r and 0 <= i < w.bound.m[k] - 1):
-        raise InputError(f"operator {op} invalid for bound {w.bound}")
+def _operator(w: CrystalWord, op) -> tuple:
+    """The pair (i, k) of op, refused unless it names an operator of w's bound."""
+    expect(CrystalWord, w)
+    pair = ints(op)
+    m = w.bound.m
+    if len(pair) == 2:
+        i, k = pair
+        if 0 <= k < len(m) and 0 <= i < m[k] - 1:
+            return pair
+    raise InputError(f"operator {op} invalid for bound {w.bound}")
 
 
 def _signature(word, i: int):
@@ -104,24 +110,30 @@ def _signature(word, i: int):
 
 def etilde(w: CrystalWord, op: OperatorIndex) -> Optional[CrystalWord]:
     """Raising operator: rewrite the rightmost surviving i+1 to i, or None."""
-    _check_op(w, op)
-    closes, _ = _signature(w.words[op.k], op.i)
+    i, k = _operator(w, op)
+    closes, _ = _signature(w.words[k], i)
     if not closes:
         return None
-    return w.replace(op.k, closes[-1], op.i)
+    return w.replace(k, closes[-1], i)
 
 
 def ftilde(w: CrystalWord, op: OperatorIndex) -> Optional[CrystalWord]:
     """Lowering operator: rewrite the leftmost surviving i to i+1, or None."""
-    _check_op(w, op)
-    _, opens = _signature(w.words[op.k], op.i)
+    i, k = _operator(w, op)
+    word = w.words[k]
+    # Without a letter i there is nothing to lower. Most calls from
+    # crystal_components end here, before the signature scan.
+    if i not in word:
+        return None
+    _, opens = _signature(word, i)
     if not opens:
         return None
-    return w.replace(op.k, opens[0], op.i + 1)
+    return w.replace(k, opens[0], i + 1)
 
 
 def is_singular_word(w: CrystalWord) -> bool:
     """True when every prefix of every component word has partition weight."""
+    expect(CrystalWord, w)
     for k, word in enumerate(w.words):
         counts = [0] * w.bound.m[k]
         for a in word:
@@ -169,7 +181,7 @@ def crystal_components(shape, bound: ShapeBound) -> list:
     components = []
     for cls in equivalence_classes(fillings):
         words = [reading(t) for t in cls]
-        by_word = {w: p for p, w in enumerate(words)}
+        by_word = {w.words: p for p, w in enumerate(words)}
         tops = [p for p, w in enumerate(words) if is_singular_word(w)]
         owner = {top: top for top in tops}
         lowered = {}  # filling -> its (operator, target) pairs in operator order
@@ -181,7 +193,7 @@ def crystal_components(shape, bound: ShapeBound) -> list:
                     down = ftilde(words[p], op)
                     if down is None:
                         continue
-                    q = by_word.get(down)
+                    q = by_word.get(down.words)
                     if q is None:
                         raise ConsistencyError(
                             "lowering left the equivalence class: convention bug"

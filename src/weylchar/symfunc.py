@@ -45,6 +45,7 @@ class SchurExpansion(Frozen):
     __slots__ = ("r", "degree", "terms")
 
     def __init__(self, r: int, degree: int, terms: dict):
+        degree, r = size_and_count(degree, r)
         expect(Mapping, terms)
         clean = {mp: c for mp, c in zip(terms, ints(terms.values())) if c}
         expect(MultiPartition, *clean)
@@ -78,6 +79,7 @@ class MonomialPoly(Frozen):
 
     def __init__(self, bound: ShapeBound, degree: int, terms: dict):
         expect(ShapeBound, bound)
+        degree, _ = size_and_count(degree, bound.r)
         expect(Mapping, terms)
         clean = {mc: c for mc, c in zip(terms, ints(terms.values())) if c}
         expect(MultiComposition, *clean)

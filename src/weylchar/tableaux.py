@@ -85,6 +85,7 @@ def superstandard(la: MultiPartition, bound: ShapeBound) -> Tableau:
 
 
 def is_semistandard(t: Tableau) -> bool:
+    expect(Tableau, t)
     cells, right, above = t.shape.neighbours()
     ents = t.entries
     for cell, e, rp, ap in zip(cells, ents, right, above):
@@ -100,6 +101,7 @@ def is_semistandard(t: Tableau) -> bool:
 
 def weight_of(t: Tableau) -> MultiComposition:
     """Entry multiplicities, one slot per (letter, component)."""
+    expect(Tableau, t)
     rows = [[0] * mk for mk in t.bound.m]
     for e in t.entries:
         rows[e.c][e.a] += 1
@@ -188,12 +190,14 @@ def equivalence_key(t: Tableau) -> tuple:
     Two fillings of one shape are equivalent exactly when every entry
     component covers the same cells in both, i.e. when their keys agree.
     """
+    expect(Tableau, t)
     return tuple(e.c for e in t.entries)
 
 
 def equivalence_classes(ts) -> list:
     """Group same-shape tableaux by equivalence key; deterministic order."""
-    ts = list(ts)
+    ts = items(ts)
+    expect(Tableau, *ts)
     shapes = {t.shape for t in ts}
     if len(shapes) > 1:
         raise InputError("tableaux of mixed shapes cannot be compared")

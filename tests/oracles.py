@@ -349,3 +349,81 @@ def double_loop_residual(lhs, rhs):
                 max_abs = abs(delta)
                 worst = (i, j)
     return {"max_abs": max_abs, "zero": max_abs == 0, "worst_entry": worst}
+
+
+def crystal_components_union_find(shape, bound):
+    """The crystal components of a shape found by union-find over every
+    lowering edge of each equivalence class, then regrouped; each group must
+    hold exactly one singular filling, whose weight labels it.
+
+    It shares the package's fillings, reading words and crystal operators and
+    differs from crystal_components only in how the components are found.
+    """
+    from weylchar.crystal import (
+        CrystalComponent,
+        _component_sort_key,
+        ftilde,
+        is_singular_word,
+        operator_indices,
+        reading,
+        word_weight,
+    )
+    from weylchar.errors import ConsistencyError
+    from weylchar.shapes import MultiPartition, Partition
+    from weylchar.tableaux import enumerate_all_tableaux, equivalence_classes
+
+    fillings = enumerate_all_tableaux(shape, bound)
+    ops = tuple(operator_indices(bound))
+    components = []
+    for cls in equivalence_classes(fillings):
+        words = [reading(t) for t in cls]
+        by_word = {w: p for p, w in enumerate(words)}
+        parent = list(range(len(cls)))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        edges = []
+        for p, w in enumerate(words):
+            for op in ops:
+                out = ftilde(w, op)
+                if out is None:
+                    continue
+                q = by_word.get(out)
+                if q is None:
+                    raise ConsistencyError(
+                        "lowering left the equivalence class: convention bug"
+                    )
+                edges.append((p, op, q))
+                ra, rb = find(p), find(q)
+                if ra != rb:
+                    parent[ra] = rb
+        groups = {}
+        for p in range(len(cls)):
+            groups.setdefault(find(p), []).append(p)
+        for members in groups.values():
+            sing = [p for p in members if is_singular_word(words[p])]
+            if len(sing) != 1:
+                raise ConsistencyError(
+                    f"component has {len(sing)} singular fillings: convention bug"
+                )
+            weight = word_weight(words[sing[0]])
+            hw = MultiPartition(Partition(row) for row in weight.rows)
+            remap = {p: q for q, p in enumerate(members)}
+            comp_edges = tuple(
+                (remap[s], op, remap[d]) for (s, op, d) in edges if s in remap
+            )
+            components.append(
+                CrystalComponent(hw, tuple(cls[p] for p in members), comp_edges)
+            )
+    components.sort(
+        key=lambda c: (
+            _component_sort_key(c.highest_weight),
+            -len(c.tableaux),
+            c.tableaux[0].entries,
+        )
+    )
+    return components

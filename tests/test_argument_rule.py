@@ -36,21 +36,34 @@ from weylchar import (
     dominates,
     enumerate_all_tableaux,
     enumerate_tableaux,
+    equivalence_classes,
+    equivalence_key,
+    etilde,
     factorization_residual,
+    ftilde,
     grouping_factorization_check,
     identity_matrix,
     invert_unitriangular,
+    is_semistandard,
+    is_singular,
+    is_singular_word,
     layer_chains,
     matrix_product,
     multipartitions,
     multiplicity,
     multiplicity_matrix,
     multiplicity_row_by_solve,
+    operator_indices,
+    reading,
     schur_product,
     structure_constants,
+    superstandard,
     truncate_to_bound,
+    weight_of,
     weyl_schur,
+    word_weight,
 )
+from weylchar.serialize import matrix_from_obj
 
 LA = MultiPartition([[1], [1]])
 MU = MultiPartition([[2], []])
@@ -60,6 +73,9 @@ WEIGHT = MultiComposition([[1, 0], [1, 0]])
 ENTRIES = ((0, 0), (0, 1))
 EXPANSION = SchurExpansion(2, 2, {LA: 1})
 MATRIX = identity_matrix(1, ShapeBound([1, 1]))
+TABLEAU = superstandard(LA, BOUND)
+WORD = CrystalWord([[0], [1]], BOUND)
+OP = (0, 1)
 
 # A value in each wrong form: nothing, a list and a string.
 HOSTILE = (None, [[1], [1]], "x")
@@ -139,6 +155,7 @@ SITES = [
         IndexedMatrix,
         (1, MATRIX.bound, MATRIX.order, MATRIX.rows),
         {
+            0: untyped(HOSTILE),
             1: typed(SB),
             2: untyped(NOT_SEQUENCE) + [(["x"], "expected a MultiPartition, got 'x'")],
             3: untyped(NOT_SEQUENCE),
@@ -159,8 +176,49 @@ SITES = [
     (CrystalWord, ([[0], [1]], BOUND), {0: untyped(NOT_SEQUENCE), 1: typed(SB)}),
     # None is SkewShape's default inner shape, so only a list and a string there.
     (SkewShape, (LA, MU.empty(2)), {0: typed(MP), 1: typed(MP, HOSTILE[1:])}),
-    (SchurExpansion, (2, 2, {LA: 1}), {2: typed(Mapping)}),
-    (MonomialPoly, (BOUND, 2, {WEIGHT: 1}), {0: typed(SB), 2: typed(Mapping)}),
+    (
+        SchurExpansion,
+        (2, 2, {LA: 1}),
+        {0: untyped(HOSTILE), 1: untyped(HOSTILE), 2: typed(Mapping)},
+    ),
+    (
+        MonomialPoly,
+        (BOUND, 2, {WEIGHT: 1}),
+        {0: typed(SB), 1: untyped(HOSTILE), 2: typed(Mapping)},
+    ),
+    (reading, (TABLEAU,), {0: typed(Tableau)}),
+    (is_singular, (TABLEAU,), {0: typed(Tableau)}),
+    (is_semistandard, (TABLEAU,), {0: typed(Tableau)}),
+    (weight_of, (TABLEAU,), {0: typed(Tableau)}),
+    (equivalence_key, (TABLEAU,), {0: typed(Tableau)}),
+    (
+        equivalence_classes,
+        ([TABLEAU],),
+        # Each item of a list or a string is checked.
+        {
+            0: [
+                (None, "not iterable: None"),
+                ([[1], [1]], re.escape("expected a Tableau, got [1]")),
+                ("x", re.escape("expected a Tableau, got 'x'")),
+            ]
+        },
+    ),
+    # The operator pair goes through ints and must name an operator of the
+    # word's bound.
+    (
+        etilde,
+        (WORD, OP),
+        {0: typed(CrystalWord), 1: untyped(HOSTILE + ((0, 1, 0), (0,), (1, 1)))},
+    ),
+    (
+        ftilde,
+        (WORD, OP),
+        {0: typed(CrystalWord), 1: untyped(HOSTILE + ((0, 1, 0), (0,), (1, 1)))},
+    ),
+    (is_singular_word, (WORD,), {0: typed(CrystalWord)}),
+    (word_weight, (WORD,), {0: typed(CrystalWord)}),
+    # Refused when called, not when the returned iterator is first read.
+    (operator_indices, (BOUND,), {0: typed(SB)}),
 ]
 
 CASES = [
@@ -209,6 +267,14 @@ NAMED = {
     "SchurExpansion(2, 1, None)": lambda: SchurExpansion(2, 1, None),
     "MonomialPoly(b, 1, None)": lambda: MonomialPoly(BOUND, 1, None),
     "MonomialPoly(None, 0, {})": lambda: MonomialPoly(None, 0, {}),
+    "operator_indices(None)": lambda: operator_indices(None),
+    "SchurExpansion(None, 0, {})": lambda: SchurExpansion(None, 0, {}),
+    "SchurExpansion(2, 'x', {})": lambda: SchurExpansion(2, "x", {}),
+    "MonomialPoly(b, None, {})": lambda: MonomialPoly(ShapeBound([1]), None, {}),
+    "IndexedMatrix(None, b, [], [])": lambda: IndexedMatrix(None, ShapeBound([1]), [], []),
+    "matrix_from_obj(n=-1)": lambda: matrix_from_obj(
+        {"n": -1, "r": 1, "m": [1], "order": [], "rows": []}
+    ),
 }
 
 

@@ -3,7 +3,9 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import crystal_components_union_find
 from weylchar import (
+    ConsistencyError,
     CrystalWord,
     InputError,
     MultiComposition,
@@ -26,6 +28,7 @@ from weylchar import (
     weight_of,
     word_weight,
 )
+from weylchar import cli, crystal
 
 
 def mp(rows):
@@ -223,3 +226,72 @@ def test_component_sizes_partition_the_shape_dimension():
     total = sum(1 for _ in enumerate_all_tableaux(SkewShape(la), b))
     comps = crystal_components(SkewShape(la), b)
     assert sum(len(c.tableaux) for c in comps) == total
+
+
+def test_orbit_walk_matches_union_find():
+    # The references pin DOT bytes for straight shapes at the stable bound
+    # only; skew shapes and a bound below the stable one are checked here,
+    # labels, tableaux and edges in order, against the union-find search.
+    cases = [
+        (SkewShape(la), ShapeBound.for_size(n, r))
+        for r in (1, 2, 3)
+        for n in range(5)
+        for la in multipartitions(n, r)
+    ]
+    cases += [
+        (SkewShape(la, inner), ShapeBound.for_size(n, 2))
+        for n in range(5)
+        for la in multipartitions(n, 2)
+        for k in range(n)
+        for inner in multipartitions(k, 2)
+        if la.contains(inner)
+    ]
+    cases += [
+        (SkewShape(la), ShapeBound((2, 3)))
+        for n in range(4)
+        for la in multipartitions(n, 2)
+    ]
+    for shape, bound in cases:
+        got = crystal_components(shape, bound)
+        assert got == crystal_components_union_find(shape, bound), shape
+        assert got
+
+
+def _lowering_off_the_class(w, op):
+    # One letter more in every word than any filling of the shape has.
+    return CrystalWord([word + (0,) for word in w.words], w.bound)
+
+
+# Each way a broken crystal convention shows: (patched name, stand-in,
+# message).
+BREAKS = {
+    "lowering leaves the class": (
+        "ftilde", _lowering_off_the_class, "lowering left the equivalence class"
+    ),
+    "no filling singular": (
+        "is_singular_word", lambda w: False, "lies below no singular filling"
+    ),
+    "every filling singular": (
+        "is_singular_word", lambda w: True, "two singular fillings share a component"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BREAKS))
+def test_convention_break_raises(name, monkeypatch):
+    attr, stand_in, message = BREAKS[name]
+    monkeypatch.setattr(crystal, attr, stand_in)
+    with pytest.raises(ConsistencyError, match=message):
+        crystal_components(SkewShape(mp([[1], [1]])), ShapeBound((2, 2)))
+
+
+@pytest.mark.parametrize("name", sorted(BREAKS))
+def test_convention_break_exits_3(name, monkeypatch, capsys):
+    attr, stand_in, message = BREAKS[name]
+    monkeypatch.setattr(crystal, attr, stand_in)
+    monkeypatch.delenv("WEYLCHAR_CACHE", raising=False)
+    code = cli.main(["crystal-graph", "--lambda", "[[1],[1]]"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    [line] = err.splitlines()
+    assert line.startswith("consistency failure:") and message in line

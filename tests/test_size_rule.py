@@ -22,8 +22,11 @@ import pytest
 
 import weylchar
 from weylchar import (
+    IndexedMatrix,
     InputError,
+    MonomialPoly,
     MultiPartition,
+    SchurExpansion,
     ShapeBound,
     SkewShape,
     character,
@@ -38,6 +41,7 @@ from weylchar import (
 )
 from weylchar import symfunc
 from weylchar.branching import skew_singular_count
+from weylchar.serialize import matrix_from_obj
 from weylchar.shapes import compositions_of, partitions_of
 
 SRC = str(Path(weylchar.__file__).resolve().parents[1])
@@ -76,6 +80,22 @@ SIZE_SITES = {
     "union_alphabet_schur": (
         lambda n, r: union_alphabet_schur([n], 0, r),
         [((1, 0), NO_COMPONENT), ((10_001, 1), SIZE_ABOVE), ((1, 10_001), COUNT_ABOVE)],
+    ),
+    # The integer fields of the expansions and matrices; a bound has at
+    # least one component and at most MAX_CAP, so only the size varies.
+    "SchurExpansion": (lambda n, r: SchurExpansion(r, n, {}), OUTSIDE),
+    "MonomialPoly": (
+        lambda n, r: MonomialPoly(ShapeBound([1] * r), n, {}),
+        [((-1, 2), NEGATIVE), ((10_001, 1), SIZE_ABOVE)],
+    ),
+    "IndexedMatrix": (
+        lambda n, r: IndexedMatrix(n, ShapeBound([1] * r), [], []),
+        [((-1, 2), NEGATIVE), ((10_001, 1), SIZE_ABOVE)],
+    ),
+    # A matrix file is read through IndexedMatrix.
+    "matrix_from_obj": (
+        lambda n, r: matrix_from_obj({"n": n, "r": r, "m": [1] * r, "order": [], "rows": []}),
+        [((-1, 1), NEGATIVE), ((10_001, 1), SIZE_ABOVE)],
     ),
     # One component always; n = 10,001 would enumerate before the rule
     # existed, so it runs in a child below.
