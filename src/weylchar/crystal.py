@@ -173,7 +173,9 @@ def crystal_components(shape, bound: ShapeBound) -> list:
     """Connected components of the crystal graph on all fillings of a shape.
 
     Inside each equivalence class, every component is the lowering orbit of
-    its one singular filling, whose weight labels the component.
+    its one singular filling, whose weight labels the component. Its
+    tableaux are in enumeration order, its edges by source and then in
+    operator_indices order.
     """
     # enumerate_all_tableaux refuses a bad shape or bound before ops reads it.
     fillings = enumerate_all_tableaux(shape, bound)
